@@ -47,6 +47,9 @@
 // sim.ExtractInto refills flat feature buffers, and policy.Model.Infer
 // runs the forward pass on a tensor.Arena that skips autograd entirely,
 // with sparse tree attention computed block-diagonally per PM tree.
+// internal/policy has exactly two forwards: the autograd graph PPO trains
+// through, and the inference wave (one stacked forward stage, one sample
+// stage per action mode); Infer, Act and Probabilities are waves of one.
 // Training shares the same cache/register-blocked matmul kernels and
 // recycles minibatch graph storage (tensor.GraphPool). The microbenchmark
 // suite behind BENCH_hotpath.json lives in internal/bench (run
@@ -62,8 +65,8 @@
 // steady-state allocations) run every row-wise network stage as one B-row
 // GEMM with attention computed block-diagonally per environment
 // (nn.Attention.InferSeg; tree attention concatenates per-env groups into
-// one GroupedAttention pass). Per environment the batched forward is
-// bit-identical to the sequential policy.Model.Infer — each kernel computes
+// one GroupedAttention pass). Per environment a B-row wave is
+// bit-identical to policy.Model.Infer, a wave of one — each kernel computes
 // every output row independently — which property tests pin across action
 // modes, batch sizes, and ragged batches. Consumers: rl.Config.Envs
 // lock-steps N training environments per wave, rl.EvalFR batches all test
@@ -115,7 +118,7 @@
 // -ckpt flag, validated shape-by-shape before any data is read, and
 // fuzz-tested to fail cleanly on corrupt input. "vmr2l-server doctor" is
 // the preflight (checkpoint/shapes/engines/port; non-zero exit on
-// failure), "vmr2l-train -format ckpt -int8" and "vmr2l-eval -export"
+// failure), "vmr2l-train -int8" and "vmr2l-eval -export"
 // produce quantized exports, and "vmr2l-bench -quant" records the int8
 // kernel speedups (pinned >=1.5x single-core at the wide serving shapes)
 // plus fragmentation-rate parity of the quantized policy across the entire
@@ -131,8 +134,10 @@
 // sim.Features.UpdateInto re-extracts only dirty machines against cached
 // raw rows — re-verifying the global min-max normalizers by fresh column
 // scan, renormalizing a whole side whenever a bound moved — and
-// policy.InferCtx.SetIncremental(true) caches every activation across
-// Infer calls, patching only dirty rows through row-sliced kernels
+// policy.InferCtx.SetIncremental(true) turns Infer's forward into a
+// dirty-row patch of the wave: it caches every activation across Infer
+// calls and feeds the patched rows to the wave's block stack and sample
+// stage, recomputing only dirty rows through row-sliced kernels
 // (tensor.LinearRows/LinearQ8Rows/LayerNormRows/GroupedAttentionRows,
 // group-diffed tree attention via nn.InferTreeRows). Cache keys cover
 // model identity, parameter version, cluster identity, and journal token;

@@ -151,34 +151,3 @@ func (a *Attention) InferSeg(ar *tensor.Arena, q, kv *tensor.Tensor, qOff, kvOff
 	}
 	return a.Wo.Infer(ar, concat), probs
 }
-
-// Infer attends q over kv like Forward, arena-allocated and graph-free. It
-// returns the output (m×d) and the mean attention probabilities across heads
-// (m×n).
-func (a *Attention) Infer(ar *tensor.Arena, q, kv *tensor.Tensor, mask []bool) (*tensor.Tensor, *tensor.Tensor) {
-	var concat *tensor.Tensor
-	var probsMean *tensor.Tensor
-	qq8, qkv8 := a.quantInputs(ar, q, kv)
-	scale := 1 / math.Sqrt(float64(a.headDim))
-	for h := range a.Wq {
-		qq := a.Wq[h].inferPre(ar, q, qq8)
-		kk := a.Wk[h].inferPre(ar, kv, qkv8)
-		vv := a.Wv[h].inferPre(ar, kv, qkv8)
-		scores := ar.Scale(ar.MatMulT(qq, kk), scale)
-		if mask != nil {
-			scores = ar.MaskedFill(scores, mask, -1e9)
-		}
-		probs := ar.Softmax(scores)
-		head := ar.MatMul(probs, vv)
-		if concat == nil {
-			concat, probsMean = head, probs
-		} else {
-			concat = ar.ConcatCols(concat, head)
-			probsMean = ar.Add(probsMean, probs)
-		}
-	}
-	if len(a.Wq) > 1 {
-		probsMean = ar.Scale(probsMean, 1/float64(len(a.Wq)))
-	}
-	return a.Wo.Infer(ar, concat), probsMean
-}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"vmr2l/internal/sim"
 	"vmr2l/internal/tensor"
 )
 
@@ -35,13 +34,11 @@ func greedyTrace(t *testing.T, m *Model, envSeed int64) []int {
 func forwardFingerprint(t *testing.T, m *Model, envSeed int64) (pmE, vmE *tensor.Tensor) {
 	t.Helper()
 	env := batchTestEnv(t, envSeed, 4, 16, 8)
-	ic := NewInferCtx()
-	ic.arena.Reset()
-	seq := m.forwardInfer(ic, sim.Extract(env.Cluster()))
-	pmE = tensor.New(seq.pmE.Rows, seq.pmE.Cols)
-	copy(pmE.Data, seq.pmE.Data)
-	vmE = tensor.New(seq.vmE.Rows, seq.vmE.Cols)
-	copy(vmE.Data, seq.vmE.Data)
+	_, seq := waveOfOne(m, env.Cluster())
+	pmE = tensor.New(seq.pmAll.Rows, seq.pmAll.Cols)
+	copy(pmE.Data, seq.pmAll.Data)
+	vmE = tensor.New(seq.vmAll.Rows, seq.vmAll.Cols)
+	copy(vmE.Data, seq.vmAll.Data)
 	return pmE, vmE
 }
 

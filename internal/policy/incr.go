@@ -10,8 +10,12 @@ import (
 // Incremental inference. A rollout step migrates one VM, which dirties a
 // handful of feature rows (source PM, destination PM, the VMs they host);
 // everything else the previous forward computed is still valid. The step
-// cache keeps last step's activations and recomputes only what the dirt
-// reaches, with exact bit-parity to a full forward:
+// cache is a dirty-row patch of the wave of one: it keeps last step's
+// activations, recomputes only what the dirt reaches, and hands the result
+// to the wave — its block stack (forwardBlocks) from the patched
+// embeddings, or, when every stage is patched, straight to the shared
+// sample stage through the wave's output (batchOut). Exact bit-parity to a
+// full forward holds because:
 //
 //   - row-wise stages (embedding MLPs, feed-forward, layer norm, residual
 //     adds, the vm_head column) propagate dirt 1:1 and are patched with the
@@ -98,6 +102,9 @@ type stepCache struct {
 
 	stats IncrStats
 
+	// One-environment row offsets of the patched wave output.
+	pmOff, vmOff [2]int
+
 	// Reusable zero-copy tensor headers over the feature buffers and cache
 	// slices.
 	pmX, vmX       tensor.Tensor
@@ -125,11 +132,11 @@ type stepCache struct {
 	groupRows      []int
 }
 
-// forwardIncr is the incremental forwardInfer: consult the step cache, patch
-// dirty rows on a hit, re-prime on a miss or fallback. The returned forward
-// is bit-identical to forwardInfer on a freshly extracted state.
-func (m *Model) forwardIncr(ic *InferCtx, env *sim.Env) *forwardOut {
-	ic.vmHeadCached = nil
+// forwardIncr is the step cache's forward: consult the cache, patch dirty
+// rows on a hit, re-prime on a miss or fallback, and fill the context's
+// one-environment wave output for the shared sample stage. The result is
+// bit-identical to a wave of one on a freshly extracted state.
+func (m *Model) forwardIncr(ic *InferCtx, env *sim.Env) *batchOut {
 	sc := &ic.cache
 	c := env.Cluster()
 	valid := sc.primed && sc.model == m && sc.version == m.Params.Version() &&
@@ -160,7 +167,7 @@ func (m *Model) forwardIncr(ic *InferCtx, env *sim.Env) *forwardOut {
 	sc.stats.Hits++
 
 	f := &ic.feat
-	ar := &ic.arena
+	ar := &ic.wave.arena
 	m.pmEmbed.InferRows(ar, &sc.pmEmbed, sc.featPM(f), sc.pmRows)
 	m.vmEmbed.InferRows(ar, &sc.vmEmbed, sc.featVM(f), sc.vmRows)
 
@@ -179,10 +186,7 @@ func (m *Model) forwardIncr(ic *InferCtx, env *sim.Env) *forwardOut {
 			vmE = bc.vmOut
 		}
 		m.vmHead.InferRows(ar, sc.vmHead, vmE, sc.vmRows)
-		ic.vmHeadCached = sc.vmHead
-		out := &ic.out
-		out.pmE, out.vmE, out.crossProbs = pmE, vmE, nil
-		return out
+		return sc.headOut(&ic.wave.out, pmE, vmE)
 
 	case SparseAttention:
 		d := sc.x.Cols
@@ -197,20 +201,20 @@ func (m *Model) forwardIncr(ic *InferCtx, env *sim.Env) *forwardOut {
 			copy(sc.x.Data[r*d:(r+1)*d], sc.vmEmbed.Out.Data[v*d:(v+1)*d])
 			sc.xDirty = append(sc.xDirty, r)
 		}
-		groups := m.treeGroups(&ic.gb, f)
+		groups := m.treeGroups(&ic.wave.gb, f)
 		sc.diffGroups(groups)
 		m.blocks[0].tree.InferTreeRows(ar, &sc.tree, sc.x, sc.xDirty, sc.dirtyGroups, sc.groupRows)
 		ar.AddRows(sc.xRes, sc.x, sc.tree.Out, sc.groupRows)
 		sc.saveGroups(groups)
-		return m.forwardTail(ic, f, sc.resPM(), sc.resVM(), groups, true)
+		return m.forwardBlocks(&ic.wave, sc.resPM(), sc.resVM(), sc.pmOff[:], sc.vmOff[:], groups, true)
 
 	default: // VanillaAttention
-		return m.forwardTail(ic, f, sc.pmEmbed.Out, sc.vmEmbed.Out, nil, false)
+		return m.forwardBlocks(&ic.wave, sc.pmEmbed.Out, sc.vmEmbed.Out, sc.pmOff[:], sc.vmOff[:], nil, false)
 	}
 }
 
 // primeForward fully re-extracts the features and re-primes the cache.
-func (m *Model) primeForward(ic *InferCtx, c *cluster.Cluster) *forwardOut {
+func (m *Model) primeForward(ic *InferCtx, c *cluster.Cluster) *batchOut {
 	ic.feat.UpdateInto(c, nil, nil, true)
 	ic.cache.token = c.ClearDirty()
 	return m.primeCompute(ic, c)
@@ -219,21 +223,21 @@ func (m *Model) primeForward(ic *InferCtx, c *cluster.Cluster) *forwardOut {
 // primeCompute runs a full forward on the (already current) features while
 // capturing every patchable intermediate into the cache. Captures are plain
 // copies of full-kernel outputs, so the primed state is bit-identical to
-// what forwardInfer computes — and to what a later sequence of row patches
+// what a full wave computes — and to what a later sequence of row patches
 // converges to.
-func (m *Model) primeCompute(ic *InferCtx, c *cluster.Cluster) *forwardOut {
+func (m *Model) primeCompute(ic *InferCtx, c *cluster.Cluster) *batchOut {
 	sc := &ic.cache
 	f := &ic.feat
-	ar := &ic.arena
+	ar := &ic.wave.arena
 	sc.model, sc.version = m, m.Params.Version()
 	sc.cl = c
 	sc.nPM, sc.nVM = len(f.PM), len(f.VM)
+	sc.pmOff, sc.vmOff = [2]int{0, sc.nPM}, [2]int{0, sc.nVM}
 	sc.primed = true
 
 	pmE := m.pmEmbed.InferInto(ar, &sc.pmEmbed, sc.featPM(f))
 	vmE := m.vmEmbed.InferInto(ar, &sc.vmEmbed, sc.featVM(f))
 
-	var out *forwardOut
 	switch m.Cfg.Extractor {
 	case NoAttention:
 		if len(sc.blocks) < len(m.blocks) {
@@ -249,24 +253,29 @@ func (m *Model) primeCompute(ic *InferCtx, c *cluster.Cluster) *forwardOut {
 			vmE = bc.vmOut
 		}
 		sc.vmHead = captureT(sc.vmHead, m.vmHead.Infer(ar, vmE))
-		ic.vmHeadCached = sc.vmHead
-		out = &ic.out
-		out.pmE, out.vmE, out.crossProbs = pmE, vmE, nil
+		return sc.headOut(&ic.wave.out, pmE, vmE)
 
 	case SparseAttention:
 		d := m.Cfg.DModel
 		sc.x = ensureT(sc.x, sc.nPM+sc.nVM, d)
 		copy(sc.x.Data[:sc.nPM*d], pmE.Data)
 		copy(sc.x.Data[sc.nPM*d:], vmE.Data)
-		groups := m.treeGroups(&ic.gb, f)
+		groups := m.treeGroups(&ic.wave.gb, f)
 		m.blocks[0].tree.InferTreeInto(ar, &sc.tree, sc.x, groups)
 		sc.xRes = captureT(sc.xRes, ar.Add(sc.x, sc.tree.Out))
 		sc.saveGroups(groups)
-		out = m.forwardTail(ic, f, sc.resPM(), sc.resVM(), groups, true)
+		return m.forwardBlocks(&ic.wave, sc.resPM(), sc.resVM(), sc.pmOff[:], sc.vmOff[:], groups, true)
 
 	default: // VanillaAttention
-		out = m.forwardTail(ic, f, pmE, vmE, nil, false)
+		return m.forwardBlocks(&ic.wave, pmE, vmE, sc.pmOff[:], sc.vmOff[:], nil, false)
 	}
+}
+
+// headOut fills out with the NoAttention cache's final embeddings and its
+// maintained vm_head column.
+func (sc *stepCache) headOut(out *batchOut, pmE, vmE *tensor.Tensor) *batchOut {
+	out.pmAll, out.vmAll, out.crossProbs, out.vmHead = pmE, vmE, nil, sc.vmHead
+	out.pmOff, out.vmOff = sc.pmOff[:], sc.vmOff[:]
 	return out
 }
 

@@ -59,27 +59,27 @@ func assertSameBits(t *testing.T, name string, a, b *tensor.Tensor) {
 // joint logits, the critic) sees identical bits.
 func compareForwards(t *testing.T, m *Model, icI, icF *InferCtx, env *sim.Env) {
 	t.Helper()
-	icI.arena.Reset()
+	bcI := &icI.wave
+	bcI.arena.Reset()
 	outI := m.forwardIncr(icI, env)
-	vmHeadI := icI.vmHeadCached
 
-	icF.arena.Reset()
-	sim.ExtractInto(&icF.feat, env.Cluster())
-	outF := m.forwardInfer(icF, &icF.feat)
+	bcF := &icF.wave
+	bcF.arena.Reset()
+	bcF.extractBatch([]*sim.Env{env})
+	outF := m.forwardInferBatch(bcF)
 
-	assertSameBits(t, "pmE", outI.pmE, outF.pmE)
-	assertSameBits(t, "vmE", outI.vmE, outF.vmE)
-	assertSameBits(t, "crossProbs", outI.crossProbs, outF.crossProbs)
+	assertSameBits(t, "pmE", outI.pmAll, outF.pmAll)
+	assertSameBits(t, "vmE", outI.vmAll, outF.vmAll)
+	assertSameBits(t, "crossProbs", cross0(outI), cross0(outF))
 
-	// Heads. vmLogitsInfer on the incremental ctx may serve from the cached
-	// head column; restore it after the plain ctx's call cleared nothing.
-	icI.vmHeadCached = vmHeadI
+	// Heads. The stage-1 head on the incremental output may serve from the
+	// cache's maintained vm_head column.
 	vmMask := env.VMMask()
-	assertSameBits(t, "vmLogits", m.vmLogitsInfer(icI, outI, vmMask), m.vmLogitsInfer(icF, outF, vmMask))
+	assertSameBits(t, "vmLogits", m.vmLogitsRow(bcI, m.vmLogitsBatch(bcI, outI), 0, vmMask), m.vmLogitsRow(bcF, m.vmLogitsBatch(bcF, outF), 0, vmMask))
 	pmMask := env.PMMask(0)
-	assertSameBits(t, "pmLogits", m.pmLogitsInfer(icI, outI, 0, pmMask), m.pmLogitsInfer(icF, outF, 0, pmMask))
-	assertSameBits(t, "jointLogits", m.jointLogitsInfer(icI, outI, nil), m.jointLogitsInfer(icF, outF, nil))
-	if vi, vf := m.valueInfer(icI, outI), m.valueInfer(icF, outF); math.Float64bits(vi) != math.Float64bits(vf) {
+	assertSameBits(t, "pmLogits", m.pmLogitsRow(bcI, m.pmMergeBatch(bcI, outI, []int{0}), 0, pmMask), m.pmLogitsRow(bcF, m.pmMergeBatch(bcF, outF, []int{0}), 0, pmMask))
+	assertSameBits(t, "jointLogits", m.jointLogitsBatchRow(bcI, outI, 0, nil), m.jointLogitsBatchRow(bcF, outF, 0, nil))
+	if vi, vf := m.valueInferBatch(bcI, outI, nil)[0], m.valueInferBatch(bcF, outF, nil)[0]; math.Float64bits(vi) != math.Float64bits(vf) {
 		t.Fatalf("value: %v vs %v", vi, vf)
 	}
 }

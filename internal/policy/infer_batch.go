@@ -19,9 +19,10 @@ import (
 // (tree-local, self, and cross attention) are block-diagonal per environment
 // and run on zero-copy row segments through the same kernels. Because every
 // kernel computes each output row independently of how many other rows share
-// the call, the batched forward is bit-identical per environment to the
-// sequential Infer fast path; the property tests in infer_batch_test.go pin
-// that equivalence for every action mode, including ragged batches.
+// the call, environment b's result does not depend on the other rows of the
+// wave: a one-row wave is Model.Infer, and the property tests in
+// infer_batch_test.go pin that equivalence for every action mode, including
+// ragged batches.
 
 // BatchAction is one environment's decision from InferBatch.
 type BatchAction struct {
@@ -31,15 +32,15 @@ type BatchAction struct {
 	Err error
 }
 
-// BatchInferCtx is the pooled scratch state of the batched inference path: a
-// tensor arena for the stacked forward pass, the batched feature extractor,
-// the concatenated tree partition, and reusable mask/probability buffers.
-// Reuse one across waves and episodes; it is not safe for concurrent use. At
-// a stable batch shape a full InferBatch performs zero heap allocations.
+// BatchInferCtx is the pooled scratch state of the wave: a tensor arena for
+// the stacked forward pass, the batched feature extractor, the concatenated
+// tree partition, and reusable mask/probability buffers. Reuse one across
+// waves and episodes; it is not safe for concurrent use. At a stable batch
+// shape a full InferBatch performs zero heap allocations.
 type BatchInferCtx struct {
 	arena tensor.Arena
 	fb    sim.FeatureBatch
-	bgb   batchGroupBuf
+	gb    groupBuf
 	out   batchOut
 
 	// Sampling scratch, reused across environments and waves.
@@ -50,11 +51,8 @@ type BatchInferCtx struct {
 	pmProbs   []float64
 	sortBuf   []float64
 	vmSel     []int
+	vmLogp    []float64
 	values    []float64
-	// actVMProbs retains per-row stage-1 probabilities across the stage-2
-	// pass for WaveAct rows (log-prob needs them); row buffers are reused
-	// across waves.
-	actVMProbs [][]float64
 
 	// Wave scratch for RolloutBatch and the typed wrappers.
 	clusters []*cluster.Cluster
@@ -83,14 +81,19 @@ func AcquireBatchCtx() *BatchInferCtx { return batchPool.Get().(*BatchInferCtx) 
 // afterwards.
 func (bc *BatchInferCtx) Release() { batchPool.Put(bc) }
 
-// batchOut carries the stacked extractor outputs. Row segment b of pmAll /
-// vmAll (delimited by the FeatureBatch offsets) is bit-identical to the
-// forwardOut of environment b alone.
+// batchOut carries the stacked extractor outputs — everything the wave's
+// sample stage reads. Row segment b of pmAll / vmAll is delimited by the
+// B+1 offsets pmOff / vmOff.
 type batchOut struct {
 	pmAll, vmAll *tensor.Tensor
+	pmOff, vmOff []int
 	// crossProbs[b] is environment b's stage-3 VM→PM attention of the last
 	// block (m_b×n_b); nil in NoAttention mode.
 	crossProbs []*tensor.Tensor
+	// vmHead, when non-nil, is the step cache's maintained vm_head output
+	// column (ΣnVM×1); the stage-1 head serves from it instead of re-running
+	// the head GEMM.
+	vmHead *tensor.Tensor
 	// scratch for InferSeg probability slices (self-attention probs are
 	// discarded; cross probs live in crossProbs, backed by crossBuf so the
 	// slice header is reused across calls).
@@ -98,72 +101,9 @@ type batchOut struct {
 	crossBuf []*tensor.Tensor
 }
 
-// batchGroupBuf builds the concatenated tree partition of the interleaved
-// [PM_0; VM_0; PM_1; VM_1; …] row space: environment b's groups are its
-// per-PM trees and unplaced-VM singletons shifted by its row base. Feeding
-// the concatenation to one GroupedAttention call computes every
-// environment's tree attention block-diagonally in a single pass.
-type batchGroupBuf struct {
-	groups [][]int
-	flat   []int
-	counts []int
-}
-
-func (gb *batchGroupBuf) build(fb *sim.FeatureBatch) [][]int {
-	nEnv := fb.Len()
-	totRows := fb.PMOff[nEnv] + fb.VMOff[nEnv]
-	if cap(gb.flat) < totRows {
-		gb.flat = make([]int, totRows)
-	} else {
-		gb.flat = gb.flat[:totRows]
-	}
-	gb.groups = gb.groups[:0]
-	off := 0
-	for b := 0; b < nEnv; b++ {
-		host := fb.Envs[b].HostPM
-		nPM := fb.PMOff[b+1] - fb.PMOff[b]
-		base := fb.PMOff[b] + fb.VMOff[b]
-		if cap(gb.counts) < nPM {
-			gb.counts = make([]int, nPM)
-		} else {
-			gb.counts = gb.counts[:nPM]
-		}
-		for t := 0; t < nPM; t++ {
-			gb.counts[t] = 1 // the PM row itself
-		}
-		for _, h := range host {
-			if h >= 0 {
-				gb.counts[h]++
-			}
-		}
-		// Trees back to back; counts[t] becomes tree t's write cursor.
-		for t := 0; t < nPM; t++ {
-			size := gb.counts[t]
-			gb.groups = append(gb.groups, gb.flat[off:off+size:off+size])
-			gb.flat[off] = base + t
-			gb.counts[t] = off + 1
-			off += size
-		}
-		for v, h := range host {
-			if h >= 0 {
-				gb.flat[gb.counts[h]] = base + nPM + v
-				gb.counts[h]++
-			}
-		}
-		for v, h := range host {
-			if h < 0 {
-				gb.flat[off] = base + nPM + v
-				gb.groups = append(gb.groups, gb.flat[off:off+1:off+1])
-				off++
-			}
-		}
-	}
-	return gb.groups
-}
-
-// forwardInferBatch runs the stacked forward pass over every environment in
-// bc.fb: identical math per environment to forwardInfer, one GEMM per
-// row-wise stage for the whole batch.
+// forwardInferBatch embeds every environment in bc.fb and runs the block
+// stack over the stacked rows: one GEMM per row-wise stage for the whole
+// wave.
 func (m *Model) forwardInferBatch(bc *BatchInferCtx) *batchOut {
 	ar := &bc.arena
 	fb := &bc.fb
@@ -171,48 +111,66 @@ func (m *Model) forwardInferBatch(bc *BatchInferCtx) *batchOut {
 	totPM, totVM := fb.PMOff[nEnv], fb.VMOff[nEnv]
 	pmAll := m.pmEmbed.Infer(ar, ar.FromFlat(totPM, sim.PMFeatDim, fb.FlatPM()))
 	vmAll := m.vmEmbed.Infer(ar, ar.FromFlat(totVM, sim.VMFeatDim, fb.FlatVM()))
-	out := &bc.out
-	out.pmAll, out.vmAll, out.crossProbs = nil, nil, nil
 	var groups [][]int
 	if m.Cfg.Extractor == SparseAttention {
-		groups = bc.bgb.build(fb)
+		bc.gb.reset(totPM + totVM)
+		for b := 0; b < nEnv; b++ {
+			bc.gb.add(fb.Envs[b].HostPM, fb.PMOff[b+1]-fb.PMOff[b], fb.PMOff[b]+fb.VMOff[b])
+		}
+		groups = bc.gb.groups
 	}
+	return m.forwardBlocks(bc, pmAll, vmAll, fb.PMOff, fb.VMOff, groups, false)
+}
+
+// forwardBlocks runs the block stack from given stacked PM/VM embeddings
+// onward and fills bc.out. The step cache enters here with cached (and
+// possibly row-patched) embeddings; skipFirstTree skips block 0's tree
+// stage, which the cache has already patched, handing in pmAll/vmAll as
+// views of its cached post-tree residual. Every stage treats its inputs
+// read-only, so they may be persistent cache tensors.
+func (m *Model) forwardBlocks(bc *BatchInferCtx, pmAll, vmAll *tensor.Tensor, pmOff, vmOff []int, groups [][]int, skipFirstTree bool) *batchOut {
+	ar := &bc.arena
+	nEnv := len(pmOff) - 1
+	totPM, totVM := pmOff[nEnv], vmOff[nEnv]
+	out := &bc.out
+	out.pmOff, out.vmOff = pmOff, vmOff
+	out.crossProbs, out.vmHead = nil, nil
 	d := pmAll.Cols
-	for _, blk := range m.blocks {
-		if blk.tree != nil {
+	for bi, blk := range m.blocks {
+		if blk.tree != nil && !(skipFirstTree && bi == 0) {
 			// Stage 1: tree-local attention over the interleaved
 			// [PM_b; VM_b] stacks, block-diagonal across trees AND
 			// environments in one GroupedAttention pass.
 			x := ar.Uninit(totPM+totVM, d)
 			for b := 0; b < nEnv; b++ {
-				base := fb.PMOff[b] + fb.VMOff[b]
-				nPM := fb.PMOff[b+1] - fb.PMOff[b]
-				ar.SetRows(x, base, ar.Rows(pmAll, fb.PMOff[b], fb.PMOff[b+1]))
-				ar.SetRows(x, base+nPM, ar.Rows(vmAll, fb.VMOff[b], fb.VMOff[b+1]))
+				base := pmOff[b] + vmOff[b]
+				nPM := pmOff[b+1] - pmOff[b]
+				ar.SetRows(x, base, ar.Rows(pmAll, pmOff[b], pmOff[b+1]))
+				ar.SetRows(x, base+nPM, ar.Rows(vmAll, vmOff[b], vmOff[b+1]))
 			}
 			tx := blk.tree.InferTree(ar, x, groups)
 			x = ar.Add(x, tx) // residual
 			pmNew := ar.Uninit(totPM, d)
 			vmNew := ar.Uninit(totVM, d)
 			for b := 0; b < nEnv; b++ {
-				base := fb.PMOff[b] + fb.VMOff[b]
-				nPM := fb.PMOff[b+1] - fb.PMOff[b]
-				nVM := fb.VMOff[b+1] - fb.VMOff[b]
-				ar.SetRows(pmNew, fb.PMOff[b], ar.Rows(x, base, base+nPM))
-				ar.SetRows(vmNew, fb.VMOff[b], ar.Rows(x, base+nPM, base+nPM+nVM))
+				base := pmOff[b] + vmOff[b]
+				nPM := pmOff[b+1] - pmOff[b]
+				nVM := vmOff[b+1] - vmOff[b]
+				ar.SetRows(pmNew, pmOff[b], ar.Rows(x, base, base+nPM))
+				ar.SetRows(vmNew, vmOff[b], ar.Rows(x, base+nPM, base+nPM+nVM))
 			}
 			pmAll, vmAll = pmNew, vmNew
 		}
 		if blk.pmSelf != nil {
 			// Stage 2: intra-set self-attention, segment-diagonal per env.
-			pa, sp := blk.pmSelf.InferSeg(ar, pmAll, pmAll, fb.PMOff, fb.PMOff, out.segProbs)
+			pa, sp := blk.pmSelf.InferSeg(ar, pmAll, pmAll, pmOff, pmOff, out.segProbs)
 			out.segProbs = sp
 			pmAll = ar.Add(pmAll, pa)
-			va, sp2 := blk.vmSelf.InferSeg(ar, vmAll, vmAll, fb.VMOff, fb.VMOff, out.segProbs)
+			va, sp2 := blk.vmSelf.InferSeg(ar, vmAll, vmAll, vmOff, vmOff, out.segProbs)
 			out.segProbs = sp2
 			vmAll = ar.Add(vmAll, va)
 			// Stage 3: VM -> PM cross attention.
-			ca, cp := blk.cross.InferSeg(ar, vmAll, pmAll, fb.VMOff, fb.PMOff, out.crossBuf)
+			ca, cp := blk.cross.InferSeg(ar, vmAll, pmAll, vmOff, pmOff, out.crossBuf)
 			out.crossBuf = cp
 			out.crossProbs = cp
 			vmAll = ar.Add(vmAll, ca)
@@ -225,10 +183,13 @@ func (m *Model) forwardInferBatch(bc *BatchInferCtx) *batchOut {
 	return out
 }
 
-// vmLogitsBatch computes stage-1 logits for every environment in one stacked
-// head GEMM and returns the totVM×1 column; per-environment rows come from
-// vmLogitsRow.
+// vmLogitsBatch returns the totVM×1 stage-1 logit column of every
+// environment — the step cache's maintained column when it has one, else
+// one stacked head GEMM. Per-environment rows come from vmLogitsRow.
 func (m *Model) vmLogitsBatch(bc *BatchInferCtx, out *batchOut) *tensor.Tensor {
+	if out.vmHead != nil {
+		return out.vmHead
+	}
 	return m.vmHead.Infer(&bc.arena, out.vmAll)
 }
 
@@ -236,7 +197,7 @@ func (m *Model) vmLogitsBatch(bc *BatchInferCtx, out *batchOut) *tensor.Tensor {
 // stacked column, applying the optional legality mask.
 func (m *Model) vmLogitsRow(bc *BatchInferCtx, col *tensor.Tensor, b int, mask []bool) *tensor.Tensor {
 	ar := &bc.arena
-	row := ar.Transpose(ar.Rows(col, bc.fb.VMOff[b], bc.fb.VMOff[b+1]))
+	row := ar.Transpose(ar.Rows(col, bc.out.vmOff[b], bc.out.vmOff[b+1]))
 	if mask != nil {
 		row = ar.MaskedFill(row, mask, -1e9)
 	}
@@ -250,28 +211,27 @@ func (m *Model) vmLogitsRow(bc *BatchInferCtx, col *tensor.Tensor, b int, mask [
 // unused). Returns the totPM×1 logit column.
 func (m *Model) pmMergeBatch(bc *BatchInferCtx, out *batchOut, vmSel []int) *tensor.Tensor {
 	ar := &bc.arena
-	fb := &bc.fb
-	nEnv := fb.Len()
+	nEnv := len(out.pmOff) - 1
 	d := out.pmAll.Cols
 	w := 2*d + 1
-	merged := ar.Tensor(fb.PMOff[nEnv], w)
+	merged := ar.Tensor(out.pmOff[nEnv], w)
 	for b := 0; b < nEnv; b++ {
 		vm := vmSel[b]
 		if vm < 0 {
 			continue
 		}
-		sel := out.vmAll.Data[(fb.VMOff[b]+vm)*d : (fb.VMOff[b]+vm+1)*d]
+		sel := out.vmAll.Data[(out.vmOff[b]+vm)*d : (out.vmOff[b]+vm+1)*d]
 		var crossRow []float64
 		if out.crossProbs != nil {
 			cp := out.crossProbs[b]
 			crossRow = cp.Data[vm*cp.Cols : (vm+1)*cp.Cols]
 		}
-		for i := fb.PMOff[b]; i < fb.PMOff[b+1]; i++ {
+		for i := out.pmOff[b]; i < out.pmOff[b+1]; i++ {
 			dst := merged.Data[i*w : (i+1)*w]
 			copy(dst[:d], out.pmAll.Data[i*d:(i+1)*d])
 			copy(dst[d:2*d], sel)
 			if crossRow != nil {
-				dst[2*d] = crossRow[i-fb.PMOff[b]]
+				dst[2*d] = crossRow[i-out.pmOff[b]]
 			}
 		}
 	}
@@ -282,7 +242,7 @@ func (m *Model) pmMergeBatch(bc *BatchInferCtx, out *batchOut, vmSel []int) *ten
 // column, applying the optional legality mask.
 func (m *Model) pmLogitsRow(bc *BatchInferCtx, col *tensor.Tensor, b int, mask []bool) *tensor.Tensor {
 	ar := &bc.arena
-	row := ar.Transpose(ar.Rows(col, bc.fb.PMOff[b], bc.fb.PMOff[b+1]))
+	row := ar.Transpose(ar.Rows(col, bc.out.pmOff[b], bc.out.pmOff[b+1]))
 	if mask != nil {
 		row = ar.MaskedFill(row, mask, -1e9)
 	}
@@ -293,9 +253,8 @@ func (m *Model) pmLogitsRow(bc *BatchInferCtx, col *tensor.Tensor, b int, mask [
 // (1×(M·N)) from the stacked embeddings.
 func (m *Model) jointLogitsBatchRow(bc *BatchInferCtx, out *batchOut, b int, mask []bool) *tensor.Tensor {
 	ar := &bc.arena
-	fb := &bc.fb
-	vmE := ar.Rows(out.vmAll, fb.VMOff[b], fb.VMOff[b+1])
-	pmE := ar.Rows(out.pmAll, fb.PMOff[b], fb.PMOff[b+1])
+	vmE := ar.Rows(out.vmAll, out.vmOff[b], out.vmOff[b+1])
+	pmE := ar.Rows(out.pmAll, out.pmOff[b], out.pmOff[b+1])
 	scores := ar.MatMulT(vmE, pmE)
 	flat := ar.Reshape(scores, 1, scores.Rows*scores.Cols)
 	if mask != nil {
@@ -308,13 +267,12 @@ func (m *Model) jointLogitsBatchRow(bc *BatchInferCtx, out *batchOut, b int, mas
 // as one B×2d GEMM, filling dst with per-environment values.
 func (m *Model) valueInferBatch(bc *BatchInferCtx, out *batchOut, dst []float64) []float64 {
 	ar := &bc.arena
-	fb := &bc.fb
-	nEnv := fb.Len()
+	nEnv := len(out.pmOff) - 1
 	d := out.pmAll.Cols
 	pooled := ar.Uninit(nEnv, 2*d)
 	for b := 0; b < nEnv; b++ {
-		pm := ar.MeanRows(ar.Rows(out.pmAll, fb.PMOff[b], fb.PMOff[b+1]))
-		vm := ar.MeanRows(ar.Rows(out.vmAll, fb.VMOff[b], fb.VMOff[b+1]))
+		pm := ar.MeanRows(ar.Rows(out.pmAll, out.pmOff[b], out.pmOff[b+1]))
+		vm := ar.MeanRows(ar.Rows(out.vmAll, out.vmOff[b], out.vmOff[b+1]))
 		copy(pooled.Data[b*2*d:b*2*d+d], pm.Data)
 		copy(pooled.Data[b*2*d+d:(b+1)*2*d], vm.Data)
 	}
@@ -348,10 +306,10 @@ func (bc *BatchInferCtx) extractBatch(envs []*sim.Env) {
 }
 
 // InferBatch selects one action per environment through a single batched
-// forward pass. Environment b's decision is bit-identical to what the
-// sequential Infer would pick given the same rng stream: the stacked forward
-// reproduces each per-environment forward exactly, and sampling consumes
-// each environment's rng in the same order. opts is per-environment (a
+// forward pass. Environment b's decision is bit-identical to what Infer (a
+// wave of one) would pick given the same rng stream: no row's forward
+// depends on the other rows, and sampling consumes each environment's rng
+// in the same order. opts is per-environment (a
 // single element broadcasts). Environments with no migratable VM get
 // ErrNoMigratableVM in their BatchAction. acts is an optional reusable
 // result slice. Zero heap allocations at a stable batch shape.
@@ -485,6 +443,14 @@ func (m *Model) RolloutBatch(ctx context.Context, bc *BatchInferCtx, envs []*sim
 func resizeInts(dst []int, n int) []int {
 	if cap(dst) < n {
 		return make([]int, n)
+	}
+	return dst[:n]
+}
+
+// resizeBools returns dst with length n, reallocating only when needed.
+func resizeBools(dst []bool, n int) []bool {
+	if cap(dst) < n {
+		return make([]bool, n)
 	}
 	return dst[:n]
 }

@@ -32,6 +32,24 @@ func batchTestEnv(t *testing.T, seed int64, nPM, nVM, mnl int) *sim.Env {
 	return sim.New(c, sim.DefaultConfig(mnl))
 }
 
+// waveOfOne runs the wave forward on one cluster state: the
+// single-environment inference reference.
+func waveOfOne(m *Model, c *cluster.Cluster) (*BatchInferCtx, *batchOut) {
+	bc := NewBatchInferCtx()
+	bc.arena.Reset()
+	bc.fb.Extract([]*cluster.Cluster{c})
+	return bc, m.forwardInferBatch(bc)
+}
+
+// cross0 is the stage-3 attention of a one-environment wave (nil without
+// attention).
+func cross0(out *batchOut) *tensor.Tensor {
+	if out.crossProbs == nil {
+		return nil
+	}
+	return out.crossProbs[0]
+}
+
 // bitEqual asserts two tensors match exactly (same bits, not a tolerance):
 // the batched forward must reproduce the sequential float ops, not
 // approximate them.
@@ -49,7 +67,7 @@ func bitEqual(t *testing.T, name string, want, got *tensor.Tensor) {
 
 // TestForwardBatchBitIdentical pins the core contract: every environment's
 // segment of the stacked batched forward is bit-identical to its own
-// sequential forwardInfer, for every extractor mode and ragged batch sizes.
+// wave of one, for every extractor mode and ragged batch sizes.
 func TestForwardBatchBitIdentical(t *testing.T) {
 	for _, ex := range []ExtractorMode{SparseAttention, VanillaAttention, NoAttention} {
 		cfg := Config{DModel: 16, Hidden: 24, Blocks: 2, Heads: 2, Extractor: ex, Seed: 11}
@@ -70,27 +88,24 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 			vmCol := m.vmLogitsBatch(bc, out)
 
 			for b, env := range envs {
-				ic := NewInferCtx()
-				ic.arena.Reset()
-				feat := sim.Extract(env.Cluster())
-				seq := m.forwardInfer(ic, feat)
+				ic, seq := waveOfOne(m, env.Cluster())
 
-				pmSeg := tensor.New(seq.pmE.Rows, seq.pmE.Cols)
+				pmSeg := tensor.New(seq.pmAll.Rows, seq.pmAll.Cols)
 				copy(pmSeg.Data, out.pmAll.Data[bc.fb.PMOff[b]*16:bc.fb.PMOff[b+1]*16])
-				bitEqual(t, "pmE", seq.pmE, pmSeg)
-				vmSeg := tensor.New(seq.vmE.Rows, seq.vmE.Cols)
+				bitEqual(t, "pmE", seq.pmAll, pmSeg)
+				vmSeg := tensor.New(seq.vmAll.Rows, seq.vmAll.Cols)
 				copy(vmSeg.Data, out.vmAll.Data[bc.fb.VMOff[b]*16:bc.fb.VMOff[b+1]*16])
-				bitEqual(t, "vmE", seq.vmE, vmSeg)
+				bitEqual(t, "vmE", seq.vmAll, vmSeg)
 				if seq.crossProbs != nil {
-					bitEqual(t, "crossProbs", seq.crossProbs, out.crossProbs[b])
+					bitEqual(t, "crossProbs", cross0(seq), out.crossProbs[b])
 				} else if out.crossProbs != nil {
 					t.Fatalf("%v: batched crossProbs non-nil for NoAttention", ex)
 				}
-				if sv := m.valueInfer(ic, seq); sv != bc.values[b] {
+				if sv := m.valueInferBatch(ic, seq, nil)[0]; sv != bc.values[b] {
 					t.Fatalf("%v env %d value: %v != %v", ex, b, sv, bc.values[b])
 				}
 				mask := env.VMMask()
-				bitEqual(t, "vmLogits", m.vmLogitsInfer(ic, seq, mask), m.vmLogitsRow(bc, vmCol, b, mask))
+				bitEqual(t, "vmLogits", m.vmLogitsRow(ic, m.vmLogitsBatch(ic, seq), 0, mask), m.vmLogitsRow(bc, vmCol, b, mask))
 			}
 		}
 	}
@@ -342,12 +357,9 @@ func TestValuesBatchMatchesSequential(t *testing.T) {
 	}
 	bc := NewBatchInferCtx()
 	got := m.ValuesBatch(bc, cs, nil)
-	ic := NewInferCtx()
 	for b, c := range cs {
-		ic.arena.Reset()
-		feat := sim.Extract(c)
-		out := m.forwardInfer(ic, feat)
-		if want := m.valueInfer(ic, out); want != got[b] {
+		ic, out := waveOfOne(m, c)
+		if want := m.valueInferBatch(ic, out, nil)[0]; want != got[b] {
 			t.Fatalf("state %d: value %v != %v", b, got[b], want)
 		}
 	}

@@ -43,9 +43,7 @@ func TestInferMatchesGraphForward(t *testing.T) {
 		}
 		m := New(cfg)
 		slow := m.forward(feat)
-		ic := NewInferCtx()
-		ic.arena.Reset()
-		fast := m.forwardInfer(ic, feat)
+		ic, fast := waveOfOne(m, env.Cluster())
 
 		check := func(name string, a, b *tensor.Tensor) {
 			t.Helper()
@@ -64,16 +62,16 @@ func TestInferMatchesGraphForward(t *testing.T) {
 				}
 			}
 		}
-		check("pmE", slow.pmE, fast.pmE)
-		check("vmE", slow.vmE, fast.vmE)
-		check("crossProbs", slow.crossProbs, fast.crossProbs)
+		check("pmE", slow.pmE, fast.pmAll)
+		check("vmE", slow.vmE, fast.vmAll)
+		check("crossProbs", slow.crossProbs, cross0(fast))
 
 		vmMask := env.VMMask()
-		check("vmLogits", m.vmLogits(slow, vmMask), m.vmLogitsInfer(ic, fast, vmMask))
+		check("vmLogits", m.vmLogits(slow, vmMask), m.vmLogitsRow(ic, m.vmLogitsBatch(ic, fast), 0, vmMask))
 		pmMask := env.PMMask(0)
-		check("pmLogits", m.pmLogits(slow, 0, pmMask), m.pmLogitsInfer(ic, fast, 0, pmMask))
-		check("jointLogits", m.jointLogits(slow, nil), m.jointLogitsInfer(ic, fast, nil))
-		if sv, fv := m.value(slow).Scalar(), m.valueInfer(ic, fast); math.Abs(sv-fv) > 1e-12 {
+		check("pmLogits", m.pmLogits(slow, 0, pmMask), m.pmLogitsRow(ic, m.pmMergeBatch(ic, fast, []int{0}), 0, pmMask))
+		check("jointLogits", m.jointLogits(slow, nil), m.jointLogitsBatchRow(ic, fast, 0, nil))
+		if sv, fv := m.value(slow).Scalar(), m.valueInferBatch(ic, fast, nil)[0]; math.Abs(sv-fv) > 1e-12 {
 			t.Fatalf("%v value: %g vs %g", ex, sv, fv)
 		}
 	}

@@ -6,12 +6,19 @@
 // and the NeuPlan-style hybrid — are configuration switches so every learned
 // baseline shares one training stack.
 //
+// The package has two forwards. The autograd graph (Model.forward) is what
+// PPO trains through and the reference the parity tests compare against.
+// Every inference path runs the wave (wave.go): one stacked forward stage
+// over any number of environments, then one sample stage per action mode.
+// Infer, Act and Probabilities are waves of one; InferBatch, ActBatch,
+// ValuesBatch and the serving scheduler build wider ones.
+//
 // Sequential rollouts can opt into incremental inference
 // (InferCtx.SetIncremental): the context then caches every forward
-// activation across Infer calls and recomputes only the rows reached by the
-// cluster's dirty journal, bit-identically to a full forward. See incr.go
-// for the cache-invalidation contract — generation-token keys, the
-// global-normalizer fallback, and the sharing rules (one context per
+// activation across Infer calls and patches only the rows reached by the
+// cluster's dirty journal into the wave, bit-identically to a full forward.
+// See incr.go for the cache-invalidation contract — generation-token keys,
+// the global-normalizer fallback, and the sharing rules (one context per
 // goroutine, one live incremental context per cluster).
 package policy
 
@@ -171,75 +178,77 @@ type forwardOut struct {
 	crossProbs *tensor.Tensor
 }
 
-// groupBuf builds the tree partition of the stacked [PMs; VMs] rows: one
-// group per PM (the PM row plus its hosted VM rows, ascending) and a
-// singleton group per unplaced VM. A long-lived groupBuf (InferCtx) reuses
-// its buffers across builds; holders of a previous build's result must not
-// reuse the same groupBuf until that result is dead.
+// groupBuf builds the tree partition of stacked [PM; VM] row blocks: per
+// environment, one group per PM (the PM row plus its hosted VM rows,
+// ascending) and a singleton group per unplaced VM, every row id shifted by
+// the environment's row base. One builder serves the graph forward, the
+// wave (the concatenation of every environment's groups feeds one
+// GroupedAttention call, block-diagonal across trees and environments) and
+// the step cache. A long-lived groupBuf reuses its buffers across builds;
+// holders of a previous build's result must not reuse the same groupBuf
+// until that result is dead.
 type groupBuf struct {
 	groups [][]int
 	flat   []int
 	counts []int
+	off    int // write cursor in flat
 }
 
-// build fills the partition for the given hosting relation. The returned
-// slice is valid until the next build.
-func (gb *groupBuf) build(host []int, numPM int) [][]int {
-	n := numPM + len(host)
-	if cap(gb.flat) < n {
-		gb.flat = make([]int, n)
-	} else {
-		gb.flat = gb.flat[:n]
+// reset starts an empty partition over rows stacked rows in total.
+func (gb *groupBuf) reset(rows int) {
+	gb.flat = resizeInts(gb.flat, rows)
+	if cap(gb.groups) < rows {
+		gb.groups = make([][]int, 0, rows)
 	}
-	if cap(gb.counts) < numPM {
-		gb.counts = make([]int, numPM)
-	} else {
-		gb.counts = gb.counts[:numPM]
-	}
-	singles := 0
-	for t := 0; t < numPM; t++ {
+	gb.groups = gb.groups[:0]
+	gb.off = 0
+}
+
+// add appends the groups of one environment whose PM rows start at row base
+// and whose VM rows follow them.
+func (gb *groupBuf) add(host []int, numPM, base int) {
+	gb.counts = resizeInts(gb.counts, numPM)
+	for t := range gb.counts {
 		gb.counts[t] = 1 // the PM row itself
 	}
 	for _, h := range host {
 		if h >= 0 {
 			gb.counts[h]++
-		} else {
-			singles++
 		}
 	}
-	nGroups := numPM + singles
-	if cap(gb.groups) < nGroups {
-		gb.groups = make([][]int, nGroups)
-	} else {
-		gb.groups = gb.groups[:nGroups]
-	}
 	// Lay the PM trees out back to back in flat; counts[t] becomes the write
-	// cursor for tree t. Rows stay ascending within each group (PM index
+	// cursor for tree t. Rows stay ascending within each group (PM row
 	// first, hosted VMs in VM order).
-	off := 0
+	off := gb.off
 	for t := 0; t < numPM; t++ {
 		size := gb.counts[t]
-		gb.groups[t] = gb.flat[off : off+size : off+size]
-		gb.flat[off] = t
+		gb.groups = append(gb.groups, gb.flat[off:off+size:off+size])
+		gb.flat[off] = base + t
 		gb.counts[t] = off + 1
 		off += size
 	}
 	for v, h := range host {
 		if h >= 0 {
-			gb.flat[gb.counts[h]] = numPM + v
+			gb.flat[gb.counts[h]] = base + numPM + v
 			gb.counts[h]++
 		}
 	}
 	// Singleton groups for unplaced VMs.
-	si := numPM
 	for v, h := range host {
 		if h < 0 {
-			gb.flat[off] = numPM + v
-			gb.groups[si] = gb.flat[off : off+1 : off+1]
-			si++
+			gb.flat[off] = base + numPM + v
+			gb.groups = append(gb.groups, gb.flat[off:off+1:off+1])
 			off++
 		}
 	}
+	gb.off = off
+}
+
+// build is the partition of a single environment at row base 0. The
+// returned slice is valid until the next build.
+func (gb *groupBuf) build(host []int, numPM int) [][]int {
+	gb.reset(numPM + len(host))
+	gb.add(host, numPM, 0)
 	return gb.groups
 }
 
@@ -252,8 +261,8 @@ func (m *Model) forward(f *sim.Features) *forwardOut {
 	// The groupBuf must be freshly allocated here: GroupedAttention's
 	// backward closure retains the groups until loss.Backward(), long after
 	// this forward returns, so a pooled/reused buffer would be clobbered by
-	// the next transition's forward. (The inference paths reuse their
-	// InferCtx buffer safely — arena ops never retain groups.)
+	// the next transition's forward. (The wave reuses its context's buffer
+	// safely — arena ops never retain groups.)
 	var gb groupBuf
 	groups := m.treeGroups(&gb, f)
 	for _, blk := range m.blocks {
@@ -286,9 +295,8 @@ func (m *Model) forward(f *sim.Features) *forwardOut {
 }
 
 // treeGroups builds the tree partition of the stacked [PM; VM] rows when the
-// extractor has a tree stage, and returns nil otherwise. It is the single
-// group-building entry shared by forward, forwardInfer and the incremental
-// path, so the partition definition cannot drift between them.
+// extractor has a tree stage, and returns nil otherwise: the single-state
+// entry the graph forward and the step cache share with the wave's builder.
 func (m *Model) treeGroups(gb *groupBuf, f *sim.Features) [][]int {
 	if m.Cfg.Extractor != SparseAttention {
 		return nil

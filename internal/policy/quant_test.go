@@ -66,16 +66,13 @@ func TestQuantizedBatchBitIdentical(t *testing.T) {
 	bc.extractBatch(envs)
 	out := m.forwardInferBatch(bc)
 	for b, env := range envs {
-		ic := NewInferCtx()
-		ic.arena.Reset()
-		feat := sim.Extract(env.Cluster())
-		seq := m.forwardInfer(ic, feat)
-		pmSeg := tensor.New(seq.pmE.Rows, seq.pmE.Cols)
+		_, seq := waveOfOne(m, env.Cluster())
+		pmSeg := tensor.New(seq.pmAll.Rows, seq.pmAll.Cols)
 		copy(pmSeg.Data, out.pmAll.Data[bc.fb.PMOff[b]*cfg.DModel:bc.fb.PMOff[b+1]*cfg.DModel])
-		bitEqual(t, "quantized pmE", seq.pmE, pmSeg)
-		vmSeg := tensor.New(seq.vmE.Rows, seq.vmE.Cols)
+		bitEqual(t, "quantized pmE", seq.pmAll, pmSeg)
+		vmSeg := tensor.New(seq.vmAll.Rows, seq.vmAll.Cols)
 		copy(vmSeg.Data, out.vmAll.Data[bc.fb.VMOff[b]*cfg.DModel:bc.fb.VMOff[b+1]*cfg.DModel])
-		bitEqual(t, "quantized vmE", seq.vmE, vmSeg)
+		bitEqual(t, "quantized vmE", seq.vmAll, vmSeg)
 	}
 }
 

@@ -41,21 +41,21 @@ func (a *Agent) Meta() solver.Meta {
 }
 
 // Solve implements solver.Solver: one policy rollout, stopping at episode
-// end, when no migratable VM remains, or when ctx expires. The rollout runs
-// on the allocation-free inference path (Model.Infer) with a pooled
-// per-rollout scratch context.
+// end, when no migratable VM remains, or when ctx expires. Each step is an
+// allocation-free wave of one (Model.Infer) on a pooled scratch context.
 func (a *Agent) Solve(ctx context.Context, env *sim.Env) error {
 	rng := rand.New(rand.NewSource(a.Seed))
-	ic := inferPool.Get().(*InferCtx)
-	defer inferPool.Put(ic)
+	bc := AcquireBatchCtx()
+	defer bc.Release()
 	for !env.Done() {
 		if ctx.Err() != nil {
 			return nil // budget spent: best-so-far plan is already in env
 		}
-		vm, pm, err := a.Model.Infer(ic, env, rng, a.Opts)
-		if err != nil {
+		r := a.Model.serveRow(bc, WaveReq{Kind: WaveInfer, Env: env, Rng: rng, Opts: a.Opts})
+		if r.Err != nil {
 			return nil // no migratable VM left: episode effectively over
 		}
+		vm, pm := r.VM, r.PM
 		if a.Model.Cfg.Action == Penalty {
 			if _, _, err := env.PenaltyStep(vm, pm, -5); err != nil {
 				return fmt.Errorf("policy: penalty step: %w", err)
@@ -81,8 +81,8 @@ func (a *Agent) Solve(ctx context.Context, env *sim.Env) error {
 // with seed Seed+1000003·i. Environments already done are left untouched;
 // ctx expiry keeps every best-so-far plan.
 func (a *Agent) SolveBatch(ctx context.Context, envs []*sim.Env) error {
-	bc := batchPool.Get().(*BatchInferCtx)
-	defer batchPool.Put(bc)
+	bc := AcquireBatchCtx()
+	defer bc.Release()
 	rngs := make([]*rand.Rand, len(envs))
 	for i := range rngs {
 		rngs[i] = rand.New(rand.NewSource(a.Seed + 1_000_003*int64(i)))
@@ -115,14 +115,14 @@ func (n *NeuPlan) Meta() solver.Meta {
 func (n *NeuPlan) Solve(ctx context.Context, env *sim.Env) error {
 	rng := rand.New(rand.NewSource(n.Seed))
 	rlSteps := env.MNL() - n.Beta
-	ic := inferPool.Get().(*InferCtx)
-	defer inferPool.Put(ic)
+	bc := AcquireBatchCtx()
+	defer bc.Release()
 	for env.StepsTaken() < rlSteps && !env.Done() && ctx.Err() == nil {
-		vm, pm, err := n.Model.Infer(ic, env, rng, SampleOpts{Greedy: true})
-		if err != nil {
+		r := n.Model.serveRow(bc, WaveReq{Kind: WaveInfer, Env: env, Rng: rng, Opts: SampleOpts{Greedy: true}})
+		if r.Err != nil {
 			break
 		}
-		if _, _, err := env.Step(vm, pm); err != nil {
+		if _, _, err := env.Step(r.VM, r.PM); err != nil {
 			return fmt.Errorf("policy: neuplan rl step: %w", err)
 		}
 	}

@@ -5,16 +5,18 @@ import (
 
 	"vmr2l/internal/cluster"
 	"vmr2l/internal/sim"
+	"vmr2l/internal/tensor"
 )
 
-// Wave lifecycle. A *wave* is one stacked forward pass serving many
-// independent inference requests: every request contributes its environment's
-// PM/VM feature rows to the batch, the forward runs once, and each request's
-// result is read back from its own row segment. Because every kernel computes
+// Wave lifecycle. A *wave* is the package's one inference forward: every
+// request contributes its environment's PM/VM feature rows to a stacked
+// batch, the forward stage runs once, and the sample stage reads each
+// request's result from its own row segment. Because every kernel computes
 // each output row independently of how many other rows share the call, a
-// request's result is bit-identical to what the standalone Infer / Act /
-// critic-value path would produce — regardless of which other requests happen
-// to share the wave. That independence is what makes continuous batching
+// request's result does not depend on which other requests share the wave.
+// A wave of one is Model.Infer / Act / Probabilities; the step cache
+// (incr.go) is a patch of a wave of one that skips the rows it can prove
+// unchanged. That independence is also what makes continuous batching
 // (internal/serve) correct: a server-side scheduler can coalesce rows from
 // unrelated jobs into one wave and hand every caller exactly the answer it
 // would have computed alone.
@@ -79,34 +81,30 @@ func hasKind(reqs []WaveReq, k WaveKind) bool {
 	return false
 }
 
-// resizeProbSlices returns dst with length n, preserving already-allocated
-// row buffers so steady-state waves reuse them.
-func resizeProbSlices(dst [][]float64, n int) [][]float64 {
-	if cap(dst) < n {
-		grown := make([][]float64, n)
-		copy(grown, dst[:cap(dst)])
-		return grown
+// resetRes returns res with length n and every row zeroed, reallocating only
+// when needed.
+func resetRes(res []WaveRes, n int) []WaveRes {
+	if cap(res) < n {
+		return make([]WaveRes, n)
 	}
-	return dst[:n]
-}
-
-// ServeWave runs one mixed-kind wave: every request's feature rows stack into
-// a single batched forward pass, then each row's result is computed from its
-// own segment. Per request the result is bit-identical to the standalone
-// path of its kind (Infer / Act / critic value) given the same rng stream —
-// the property the batched-inference tests pin — so rows from unrelated
-// callers can share a wave safely. res is an optional reusable result slice.
-// Rows of kind WaveInfer keep the wave allocation-free at a stable shape;
-// WaveAct rows allocate their retained decision records, as Act does.
-func (m *Model) ServeWave(bc *BatchInferCtx, reqs []WaveReq, res []WaveRes) []WaveRes {
-	if cap(res) < len(reqs) {
-		res = make([]WaveRes, len(reqs))
-	} else {
-		res = res[:len(reqs)]
-	}
+	res = res[:n]
 	for i := range res {
 		res[i] = WaveRes{}
 	}
+	return res
+}
+
+// ServeWave runs one mixed-kind wave: every request's feature rows stack into
+// a single batched forward pass, then the sample stage computes each row's
+// result from its own segment. Per request the result does not depend on
+// which other requests share the wave — a row's answer is what a wave of one
+// (Infer / Act / critic value) computes given the same rng stream, the
+// property the batched-inference tests pin — so rows from unrelated callers
+// can share a wave safely. res is an optional reusable result slice. Rows
+// of kind WaveInfer keep the wave allocation-free at a stable shape;
+// WaveAct rows allocate their retained decision records.
+func (m *Model) ServeWave(bc *BatchInferCtx, reqs []WaveReq, res []WaveRes) []WaveRes {
+	res = resetRes(res, len(reqs))
 	if len(reqs) == 0 {
 		return res
 	}
@@ -125,11 +123,10 @@ func (m *Model) ServeWave(bc *BatchInferCtx, reqs []WaveReq, res []WaveRes) []Wa
 	}
 	bc.fb.Extract(bc.clusters)
 	out := m.forwardInferBatch(bc)
-	fb := &bc.fb
 
 	// The critic runs once over every row when any request needs it; rows
 	// that don't read their value simply ignore it. Pure-infer waves skip
-	// the critic entirely, exactly like the pre-wave InferBatch.
+	// the critic entirely.
 	if hasKind(reqs, WaveAct) || hasKind(reqs, WaveValue) {
 		bc.values = m.valueInferBatch(bc, out, bc.values)
 		for b := range reqs {
@@ -139,193 +136,137 @@ func (m *Model) ServeWave(bc *BatchInferCtx, reqs []WaveReq, res []WaveRes) []Wa
 			case WaveAct:
 				res[b].Value = bc.values[b]
 				res[b].Dec = &Decision{
-					State: &State{Feat: fb.Envs[b].Clone()},
+					State: &State{Feat: bc.fb.Envs[b].Clone()},
 					Value: bc.values[b],
 				}
 			}
 		}
 	}
+	m.sampleWave(bc, out, reqs, res)
+	return res
+}
 
-	switch m.Cfg.Action {
-	case FullMask:
-		for b := range reqs {
-			r := &reqs[b]
-			mTotal := len(fb.Envs[b].VM)
-			nTotal := len(fb.Envs[b].PM)
-			switch r.Kind {
-			case WaveInfer:
-				env := r.Env
-				if cap(bc.jointMask) < mTotal*nTotal {
-					bc.jointMask = make([]bool, mTotal*nTotal)
-				} else {
-					bc.jointMask = bc.jointMask[:mTotal*nTotal]
-					for i := range bc.jointMask {
-						bc.jointMask[i] = false
-					}
-				}
-				bc.vmMask = env.VMMaskInto(bc.vmMask)
-				for v := 0; v < mTotal; v++ {
-					if !bc.vmMask[v] {
-						continue
-					}
-					bc.pmMask = env.PMMaskInto(v, bc.pmMask)
-					for p := 0; p < nTotal; p++ {
-						bc.jointMask[v*nTotal+p] = bc.pmMask[p]
-					}
-				}
-				probs := bc.arena.Softmax(m.jointLogitsBatchRow(bc, out, b, bc.jointMask)).Data
-				idx := sampleRow(probs, r.Rng, r.Opts.Greedy)
-				res[b].VM, res[b].PM = idx/nTotal, idx%nTotal
-			case WaveAct:
-				env := r.Env
-				st := res[b].Dec.State
-				st.JointMask = make([]bool, mTotal*nTotal)
-				vmMask := env.VMMask()
-				for vm := 0; vm < mTotal; vm++ {
-					if !vmMask[vm] {
-						continue
-					}
-					pmMask := env.PMMask(vm)
-					for pm := 0; pm < nTotal; pm++ {
-						st.JointMask[vm*nTotal+pm] = pmMask[pm]
-					}
-				}
-				probs := bc.arena.Softmax(m.jointLogitsBatchRow(bc, out, b, st.JointMask)).Data
-				idx := sampleRow(probs, r.Rng, r.Opts.Greedy)
-				st.VM, st.PM = idx/nTotal, idx%nTotal
-				res[b].Dec.LogProb = logProbOf(probs[idx])
-				res[b].VM, res[b].PM = st.VM, st.PM
-			}
-		}
-		return res
+// serveRow runs req as a wave of one on bc.
+func (m *Model) serveRow(bc *BatchInferCtx, req WaveReq) WaveRes {
+	bc.reqs = append(bc.reqs[:0], req)
+	bc.waveRes = m.ServeWave(bc, bc.reqs, bc.waveRes)
+	return bc.waveRes[0]
+}
 
-	case Penalty:
-		bc.vmSel = resizeInts(bc.vmSel, len(reqs))
-		vmCol := m.vmLogitsBatch(bc, out)
-		if hasKind(reqs, WaveAct) {
-			bc.actVMProbs = resizeProbSlices(bc.actVMProbs, len(reqs))
-		}
+// rowProbs copies the softmax of one logit row into dst and applies the
+// optional quantile threshold (q > 0) under mask.
+func (bc *BatchInferCtx) rowProbs(dst []float64, logits *tensor.Tensor, mask []bool, q float64) []float64 {
+	dst = append(dst[:0], bc.arena.Softmax(logits).Data...)
+	if q > 0 {
+		bc.sortBuf = applyThresholdBuf(bc.sortBuf, dst, mask, q)
+	}
+	return dst
+}
+
+// sampleWave is the wave's sample stage, the one sampler per action mode.
+// It reads the forward only through out and its row offsets; each WaveInfer
+// or WaveAct row consumes its own rng. WaveAct rows (res[b].Dec set by the
+// caller) additionally record their masks, log-prob and action.
+func (m *Model) sampleWave(bc *BatchInferCtx, out *batchOut, reqs []WaveReq, res []WaveRes) {
+	if m.Cfg.Action == FullMask {
 		for b := range reqs {
 			r := &reqs[b]
 			if r.Kind == WaveValue {
-				bc.vmSel[b] = -1
 				continue
 			}
-			probs := bc.arena.Softmax(m.vmLogitsRow(bc, vmCol, b, nil)).Data
-			if r.Kind == WaveAct {
-				bc.actVMProbs[b] = append(bc.actVMProbs[b][:0], probs...)
-				probs = bc.actVMProbs[b]
+			mTotal := out.vmOff[b+1] - out.vmOff[b]
+			nTotal := out.pmOff[b+1] - out.pmOff[b]
+			bc.jointMask = resizeBools(bc.jointMask, mTotal*nTotal)
+			bc.vmMask = r.Env.VMMaskInto(bc.vmMask)
+			for v := 0; v < mTotal; v++ {
+				joint := bc.jointMask[v*nTotal : (v+1)*nTotal]
+				if !bc.vmMask[v] {
+					clear(joint)
+					continue
+				}
+				bc.pmMask = r.Env.PMMaskInto(v, bc.pmMask)
+				copy(joint, bc.pmMask)
 			}
-			sel := sampleRow(probs, r.Rng, r.Opts.Greedy)
-			bc.vmSel[b] = sel
-			res[b].VM = sel
-			if r.Kind == WaveAct {
-				res[b].Dec.State.VM = sel
-			}
-		}
-		pmCol := m.pmMergeBatch(bc, out, bc.vmSel)
-		for b := range reqs {
-			r := &reqs[b]
-			if bc.vmSel[b] < 0 {
-				continue
-			}
-			pmProbs := bc.arena.Softmax(m.pmLogitsRow(bc, pmCol, b, nil)).Data
-			pm := sampleRow(pmProbs, r.Rng, r.Opts.Greedy)
-			res[b].PM = pm
-			if r.Kind == WaveAct {
-				st := res[b].Dec.State
-				st.PM = pm
-				res[b].Dec.LogProb = logProbOf(bc.actVMProbs[b][st.VM]) + logProbOf(pmProbs[st.PM])
+			probs := bc.arena.Softmax(m.jointLogitsBatchRow(bc, out, b, bc.jointMask)).Data
+			idx := sampleRow(probs, r.Rng, r.Opts.Greedy)
+			res[b].VM, res[b].PM = idx/nTotal, idx%nTotal
+			if dec := res[b].Dec; dec != nil {
+				dec.State.JointMask = append([]bool(nil), bc.jointMask...)
+				dec.LogProb = logProbOf(probs[idx])
 			}
 		}
-		return res
+		recordActions(res)
+		return
+	}
 
-	default: // TwoStage
-		bc.vmSel = resizeInts(bc.vmSel, len(reqs))
-		vmCol := m.vmLogitsBatch(bc, out)
-		if hasKind(reqs, WaveAct) {
-			bc.actVMProbs = resizeProbSlices(bc.actVMProbs, len(reqs))
+	// TwoStage and Penalty: stage 1 picks the VM for every row, then one
+	// stacked pm_merge GEMM scores every row's PMs for stage 2. Penalty
+	// samples both stages unmasked and unthresholded.
+	masked := m.Cfg.Action == TwoStage
+	bc.vmSel = resizeInts(bc.vmSel, len(reqs))
+	bc.vmLogp = resizeFloats(bc.vmLogp, len(reqs))
+	vmCol := m.vmLogitsBatch(bc, out)
+	for b := range reqs {
+		r := &reqs[b]
+		bc.vmSel[b] = -1
+		if r.Kind == WaveValue {
+			continue
 		}
-		for b := range reqs {
-			r := &reqs[b]
-			switch r.Kind {
-			case WaveValue:
-				bc.vmSel[b] = -1
-			case WaveInfer:
-				env := r.Env
-				bc.vmMask = env.VMMaskInto(bc.vmMask)
-				if !anyTrue(bc.vmMask) {
-					res[b].Err = ErrNoMigratableVM
-					bc.vmSel[b] = -1
-					continue
-				}
-				bc.vmProbs = resizeFloats(bc.vmProbs, len(bc.vmMask))
-				copy(bc.vmProbs, bc.arena.Softmax(m.vmLogitsRow(bc, vmCol, b, bc.vmMask)).Data)
-				if r.Opts.VMQuantile > 0 {
-					bc.sortBuf = applyThresholdBuf(bc.sortBuf, bc.vmProbs, bc.vmMask, r.Opts.VMQuantile)
-				}
-				vm := sampleLegal(bc.vmProbs, bc.vmMask, r.Rng, r.Opts.Greedy)
-				bc.vmSel[b] = vm
-				res[b].VM = vm
-			case WaveAct:
-				env := r.Env
-				st := res[b].Dec.State
-				st.VMMask = env.VMMask()
-				if !anyTrue(st.VMMask) {
-					res[b].Dec = nil // no migratable VM: episode over for this env
-					res[b].Err = ErrNoMigratableVM
-					bc.vmSel[b] = -1
-					continue
-				}
-				p := append(bc.actVMProbs[b][:0], bc.arena.Softmax(m.vmLogitsRow(bc, vmCol, b, st.VMMask)).Data...)
-				if r.Opts.VMQuantile > 0 {
-					bc.sortBuf = applyThresholdBuf(bc.sortBuf, p, st.VMMask, r.Opts.VMQuantile)
-				}
-				st.VM = sampleLegal(p, st.VMMask, r.Rng, r.Opts.Greedy)
-				bc.actVMProbs[b] = p
-				bc.vmSel[b] = st.VM
-				res[b].VM = st.VM
-			}
-		}
-		pmCol := m.pmMergeBatch(bc, out, bc.vmSel)
-		for b := range reqs {
-			r := &reqs[b]
-			if bc.vmSel[b] < 0 {
+		var mask []bool
+		q := 0.0
+		if masked {
+			bc.vmMask = r.Env.VMMaskInto(bc.vmMask)
+			if !anyTrue(bc.vmMask) {
+				res[b].Err, res[b].Dec = ErrNoMigratableVM, nil
 				continue
 			}
-			switch r.Kind {
-			case WaveInfer:
-				env := r.Env
-				vm := bc.vmSel[b]
-				bc.pmMask = env.PMMaskInto(vm, bc.pmMask)
-				bc.pmProbs = resizeFloats(bc.pmProbs, len(bc.pmMask))
-				copy(bc.pmProbs, bc.arena.Softmax(m.pmLogitsRow(bc, pmCol, b, bc.pmMask)).Data)
-				if r.Opts.PMQuantile > 0 {
-					bc.sortBuf = applyThresholdBuf(bc.sortBuf, bc.pmProbs, bc.pmMask, r.Opts.PMQuantile)
-				}
-				pm := sampleLegal(bc.pmProbs, bc.pmMask, r.Rng, r.Opts.Greedy)
-				if m.Cfg.PMSubset > 0 {
-					// Decima-style: resample the PM from a random legal subset,
-					// overriding the learned stage-2 choice.
-					pm = subsetPM(bc.pmMask, m.Cfg.PMSubset, bc.pmProbs, r.Rng)
-				}
-				res[b].PM = pm
-			case WaveAct:
-				env := r.Env
-				st := res[b].Dec.State
-				st.PMMask = env.PMMask(st.VM)
-				pmProbs := append([]float64(nil), bc.arena.Softmax(m.pmLogitsRow(bc, pmCol, b, st.PMMask)).Data...)
-				if r.Opts.PMQuantile > 0 {
-					bc.sortBuf = applyThresholdBuf(bc.sortBuf, pmProbs, st.PMMask, r.Opts.PMQuantile)
-				}
-				st.PM = sampleLegal(pmProbs, st.PMMask, r.Rng, r.Opts.Greedy)
-				res[b].Dec.LogProb = logProbOf(bc.actVMProbs[b][st.VM]) + logProbOf(pmProbs[st.PM])
-				if m.Cfg.PMSubset > 0 {
-					st.PM = subsetPM(st.PMMask, m.Cfg.PMSubset, pmProbs, r.Rng)
-				}
-				res[b].PM = st.PM
+			mask, q = bc.vmMask, r.Opts.VMQuantile
+		}
+		bc.vmProbs = bc.rowProbs(bc.vmProbs, m.vmLogitsRow(bc, vmCol, b, mask), mask, q)
+		vm := sampleLegal(bc.vmProbs, mask, r.Rng, r.Opts.Greedy)
+		bc.vmSel[b], res[b].VM = vm, vm
+		bc.vmLogp[b] = logProbOf(bc.vmProbs[vm])
+		if dec := res[b].Dec; dec != nil && masked {
+			dec.State.VMMask = append([]bool(nil), mask...)
+		}
+	}
+	pmCol := m.pmMergeBatch(bc, out, bc.vmSel)
+	for b := range reqs {
+		r := &reqs[b]
+		vm := bc.vmSel[b]
+		if vm < 0 {
+			continue
+		}
+		var mask []bool
+		q := 0.0
+		if masked {
+			bc.pmMask = r.Env.PMMaskInto(vm, bc.pmMask)
+			mask, q = bc.pmMask, r.Opts.PMQuantile
+		}
+		bc.pmProbs = bc.rowProbs(bc.pmProbs, m.pmLogitsRow(bc, pmCol, b, mask), mask, q)
+		pm := sampleLegal(bc.pmProbs, mask, r.Rng, r.Opts.Greedy)
+		if dec := res[b].Dec; dec != nil {
+			dec.LogProb = bc.vmLogp[b] + logProbOf(bc.pmProbs[pm])
+			if masked {
+				dec.State.PMMask = append([]bool(nil), mask...)
 			}
 		}
-		return res
+		if masked && m.Cfg.PMSubset > 0 {
+			// Decima-style: resample the PM from a random legal subset,
+			// overriding the learned stage-2 choice.
+			pm = subsetPM(mask, m.Cfg.PMSubset, bc.pmProbs, r.Rng)
+		}
+		res[b].PM = pm
+	}
+	recordActions(res)
+}
+
+// recordActions copies every WaveAct row's chosen action into its decision
+// record.
+func recordActions(res []WaveRes) {
+	for i := range res {
+		if dec := res[i].Dec; dec != nil {
+			dec.State.VM, dec.State.PM = res[i].VM, res[i].PM
+		}
 	}
 }

@@ -53,9 +53,8 @@ func TestServeWaveMixedKinds(t *testing.T) {
 					refs[b] = ref{dec: dec, err: err, isAct: true}
 					reqs[b] = WaveReq{Kind: WaveAct, Env: envs[b], Rng: rand.New(rand.NewSource(seed)), Opts: opts}
 				default: // WaveValue
-					ic.arena.Reset()
-					fo := m.forwardInfer(ic, sim.Extract(envs[b].Cluster()))
-					refs[b] = ref{val: m.valueInfer(ic, fo), hasVal: true}
+					vc, fo := waveOfOne(m, envs[b].Cluster())
+					refs[b] = ref{val: m.valueInferBatch(vc, fo, nil)[0], hasVal: true}
 					reqs[b] = WaveReq{Kind: WaveValue, State: envs[b].Cluster()}
 				}
 			}

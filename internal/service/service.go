@@ -674,6 +674,7 @@ func (s *Server) worker() {
 			// rather than reporting a zero-step solve as a success.
 			j.mu.Lock()
 			j.state, j.err = JobFailed, "canceled: server shut down before the solve started"
+			j.mapping = nil
 			j.mu.Unlock()
 			continue
 		}
@@ -685,6 +686,9 @@ func (s *Server) worker() {
 			s.statBudgetDropped.Add(uint64(resp.Repair.BudgetDropped))
 		}
 		j.mu.Lock()
+		// The snapshot is dead once the solve returns; retained finished
+		// jobs (up to maxRetainedJobs) must not pin a cluster clone each.
+		j.mapping = nil
 		j.timedOut = timedOut
 		if err != nil {
 			j.state, j.err = JobFailed, err.Error()

@@ -234,6 +234,37 @@ func waitJob(t *testing.T, s *Server, id string, timeout time.Duration) JobStatu
 	}
 }
 
+// TestFinishedJobDropsMapping: a finished job releases its cluster
+// snapshot — the job store retains up to maxRetainedJobs finished jobs, and
+// each would otherwise pin a full cluster clone — while its result stays
+// readable through GET /v2/jobs/{id}.
+func TestFinishedJobDropsMapping(t *testing.T) {
+	s := testServer(t)
+	mapping, _ := mappingJSON(t, 4)
+	st := submitJob(t, s, PlanRequest{MNL: 6, Mapping: mapping})
+	final := waitJob(t, s, st.ID, 5*time.Second)
+	if final.State != JobSucceeded || final.Result == nil {
+		t.Fatalf("job did not succeed: %+v", final)
+	}
+	s.jobsMu.Lock()
+	j := s.jobs[st.ID]
+	s.jobsMu.Unlock()
+	j.mu.Lock()
+	held := j.mapping != nil
+	j.mu.Unlock()
+	if held {
+		t.Fatal("finished job still holds its cluster snapshot")
+	}
+	var again JobStatus
+	if code := getJSON(t, s, "/v2/jobs/"+st.ID, &again); code != http.StatusOK {
+		t.Fatalf("GET finished job: status %d", code)
+	}
+	if again.State != JobSucceeded || again.Result == nil ||
+		len(again.Result.Plan) != len(final.Result.Plan) || again.Result.FinalFR != final.Result.FinalFR {
+		t.Fatalf("finished job result changed: %+v, want %+v", again.Result, final.Result)
+	}
+}
+
 func TestV2JobLifecycle(t *testing.T) {
 	s := testServer(t)
 	mapping, c := mappingJSON(t, 4)

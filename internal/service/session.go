@@ -147,8 +147,8 @@ type HealthStatus struct {
 
 // RepairReport is attached to session-scoped job results: what plan
 // validation/repair did once the solve finished against the drifted live
-// state. The embedded RepairStats (valid/repaired/dropped, partitioning
-// the solver's plan) inlines into the JSON body.
+// state. The embedded RepairStats (valid/repaired/dropped/consumed,
+// partitioning the solver's plan) inlines into the JSON body.
 type RepairReport struct {
 	solver.RepairStats
 	// LiveInitialFR/LiveFinalFR are the true fragment rates of the live

@@ -184,6 +184,11 @@ type RepairStats struct {
 	// EvacFailed counts stranded VMs no Up PM could host: the plan leaves
 	// them in place and the caller must shed load or wait for recoveries.
 	EvacFailed int `json:"evac_failed,omitempty"`
+	// Consumed counts planned migrations a forced evacuation absorbed: the
+	// pre-pass already moved the VM, or the entry was itself re-emitted as
+	// a late evacuation. Every planned migration is counted exactly once:
+	// Valid + Repaired + Dropped + Consumed == len(plan).
+	Consumed int `json:"consumed,omitempty"`
 }
 
 // RepairedPlan is the outcome of validating and repairing a plan against a
@@ -261,6 +266,7 @@ func RepairPlanObjective(live *cluster.Cluster, plan []sim.Migration, obj sim.Ob
 			// The pre-pass already honored this entry's real intent (get the
 			// VM off its PM); the emitted evacuation consumed it.
 			delete(evacuated, m.VM)
+			out.Stats.Consumed++
 			continue
 		}
 		if m.Swap && i+1 < len(plan) && plan[i+1].Swap {
@@ -298,6 +304,7 @@ func RepairPlanObjective(live *cluster.Cluster, plan []sim.Migration, obj sim.Ob
 				rec.Forced = true
 				out.Plan = append(out.Plan, rec)
 				out.Stats.Evacuated++
+				out.Stats.Consumed++
 				if evacFailed[m.VM] {
 					delete(evacFailed, m.VM)
 					out.Stats.EvacFailed--

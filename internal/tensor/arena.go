@@ -274,17 +274,6 @@ func (ar *Arena) ConcatCols(a, b *Tensor) *Tensor {
 	return out
 }
 
-// ConcatRows stacks a (p×n) over b (q×n).
-func (ar *Arena) ConcatRows(a, b *Tensor) *Tensor {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: arena ConcatRows cols %d vs %d", a.Cols, b.Cols))
-	}
-	out := ar.Uninit(a.Rows+b.Rows, a.Cols)
-	copy(out.Data, a.Data)
-	copy(out.Data[len(a.Data):], b.Data)
-	return out
-}
-
 // GroupedAttention is the inference-mode block-diagonal attention (see the
 // graph op of the same name): each row attends only within its group. Groups
 // are disjoint, so when the total work is large (batched forwards
@@ -499,19 +488,6 @@ func (ar *Arena) GatherRows(a *Tensor, idx []int) *Tensor {
 			panic(fmt.Sprintf("tensor: arena GatherRows index %d of %d", i, a.Rows))
 		}
 		copy(out.Data[r*a.Cols:(r+1)*a.Cols], a.Data[i*a.Cols:(i+1)*a.Cols])
-	}
-	return out
-}
-
-// RepeatRow tiles row (1×n) into (m×n) — the inference replacement for the
-// ones-vector MatMul broadcast.
-func (ar *Arena) RepeatRow(row *Tensor, m int) *Tensor {
-	if row.Rows != 1 {
-		panic(fmt.Sprintf("tensor: arena RepeatRow on %dx%d", row.Rows, row.Cols))
-	}
-	out := ar.Uninit(m, row.Cols)
-	for i := 0; i < m; i++ {
-		copy(out.Data[i*row.Cols:(i+1)*row.Cols], row.Data)
 	}
 	return out
 }

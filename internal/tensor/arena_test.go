@@ -48,7 +48,6 @@ func TestArenaMatchesGraphOps(t *testing.T) {
 		wantClose(t, "ReLU", ar.ReLU(a), ReLU(a))
 		wantClose(t, "Softmax", ar.Softmax(a), Softmax(a))
 		wantClose(t, "ConcatCols", ar.ConcatCols(a, c), ConcatCols(a, c))
-		wantClose(t, "ConcatRows", ar.ConcatRows(a, c), ConcatRows(a, c))
 		wantClose(t, "Transpose", ar.Transpose(a), Transpose(a))
 		wantClose(t, "MeanRows", ar.MeanRows(a), MeanRows(a))
 		wantClose(t, "Reshape", ar.Reshape(a, k, m), Reshape(a, k, m))
@@ -75,13 +74,6 @@ func TestArenaMatchesGraphOps(t *testing.T) {
 		want := New(hi-lo, k)
 		copy(want.Data, a.Data[lo*k:hi*k])
 		wantClose(t, "Rows", rows, want)
-
-		rep := ar.RepeatRow(row, m)
-		ones := New(m, 1)
-		for i := range ones.Data {
-			ones.Data[i] = 1
-		}
-		wantClose(t, "RepeatRow", rep, MatMul(ones, row))
 	}
 }
 
