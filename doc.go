@@ -51,7 +51,10 @@
 // through, and the inference wave (one stacked forward stage, one sample
 // stage per action mode); Infer, Act and Probabilities are waves of one.
 // Training shares the same cache/register-blocked matmul kernels and
-// recycles minibatch graph storage (tensor.GraphPool). The microbenchmark
+// recycles minibatch graph storage through a per-trainer tensor.GraphPool.
+// HA and SwapHA rank candidates and destinations from per-shape insertion
+// tables patched after each step (internal/heuristics), so a plan's cost
+// follows the PMs it touches rather than VMs × PMs. The microbenchmark
 // suite behind BENCH_hotpath.json lives in internal/bench (run
 // "vmr2l-bench -hotpath" or "go test -bench=Hotpath ."); see README.md's
 // Performance section for how to read the artifact.

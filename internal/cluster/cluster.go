@@ -231,24 +231,6 @@ func (c *Cluster) FitsNuma(vmID, pmID, numa int) bool {
 	return n.FreeCPU() >= v.CPUPerNuma() && n.FreeMem() >= v.MemPerNuma()
 }
 
-// fitsCapacity reports whether vm fits anywhere on PM p by capacity.
-func (c *Cluster) fitsCapacity(v *VM, p *PM) bool {
-	if v.Numas == 2 {
-		for j := range p.Numas {
-			if p.Numas[j].FreeCPU() < v.CPUPerNuma() || p.Numas[j].FreeMem() < v.MemPerNuma() {
-				return false
-			}
-		}
-		return true
-	}
-	for j := range p.Numas {
-		if p.Numas[j].FreeCPU() >= v.CPUPerNuma() && p.Numas[j].FreeMem() >= v.MemPerNuma() {
-			return true
-		}
-	}
-	return false
-}
-
 // violatesAffinity reports whether placing v on PM p breaks anti-affinity.
 func (c *Cluster) violatesAffinity(v *VM, pmID int) bool {
 	if !c.AntiAffinity || v.Service < 0 {
@@ -271,7 +253,7 @@ func (c *Cluster) CanHost(vmID, pmID int) bool {
 	if c.violatesAffinity(v, pmID) {
 		return false
 	}
-	return c.fitsCapacity(v, &c.PMs[pmID])
+	return c.PMs[pmID].Fits(v.Shape())
 }
 
 // SetHealth transitions PM pmID to health h. Hosted VMs are untouched: a
@@ -314,31 +296,12 @@ func (c *Cluster) StrandedVMs(dst []int) []int {
 	return dst
 }
 
-// BestNuma returns the feasible NUMA of pmID for a single-NUMA VM that
-// minimizes the post-placement X-core fragment (ties: lower index). Returns
-// -1 when the VM does not fit on any NUMA. For double-NUMA VMs it returns 0
-// when both NUMAs fit, else -1.
+// BestNuma returns the feasible NUMA of pmID for vmID under PM.BestNuma's
+// rule: the single NUMA that minimizes the post-placement X-core fragment
+// (ties: lower index), 0 for a double-NUMA VM that fits, -1 when it does
+// not fit.
 func (c *Cluster) BestNuma(vmID, pmID, x int) int {
-	v := &c.VMs[vmID]
-	p := &c.PMs[pmID]
-	if v.Numas == 2 {
-		if c.fitsCapacity(v, p) {
-			return 0
-		}
-		return -1
-	}
-	best, bestFrag := -1, 0
-	for j := range p.Numas {
-		n := &p.Numas[j]
-		if n.FreeCPU() < v.CPUPerNuma() || n.FreeMem() < v.MemPerNuma() {
-			continue
-		}
-		frag := (n.FreeCPU() - v.CPUPerNuma()) % x
-		if best == -1 || frag < bestFrag {
-			best, bestFrag = j, frag
-		}
-	}
-	return best
+	return c.PMs[pmID].BestNuma(c.VMs[vmID].Shape(), x)
 }
 
 // Place puts an unplaced VM onto PM pmID / NUMA numa (numa ignored for
@@ -356,7 +319,7 @@ func (c *Cluster) Place(vmID, pmID, numa int) error {
 	}
 	p := &c.PMs[pmID]
 	if v.Numas == 2 {
-		if !c.fitsCapacity(v, p) {
+		if !p.Fits(v.Shape()) {
 			return fmt.Errorf("%w: vm %d on pm %d", ErrNoCapacity, vmID, pmID)
 		}
 		for j := range p.Numas {

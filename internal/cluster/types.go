@@ -80,6 +80,24 @@ func (v *VM) CPUPerNuma() int { return v.CPU / v.Numas }
 // MemPerNuma returns the per-NUMA memory demand of the VM.
 func (v *VM) MemPerNuma() int { return v.Mem / v.Numas }
 
+// Shape returns the placement-relevant part of the VM.
+func (v *VM) Shape() Shape { return Shape{CPU: v.CPU, Mem: v.Mem, Numas: v.Numas} }
+
+// Shape is what placement sees of a VM: its total demand and NUMA span.
+// Two VMs of one shape are interchangeable for capacity, NUMA choice and
+// fragment arithmetic; only identity and anti-affinity tell them apart.
+type Shape struct {
+	CPU   int
+	Mem   int
+	Numas int
+}
+
+// CPUPerNuma returns the per-NUMA CPU demand of the shape.
+func (s Shape) CPUPerNuma() int { return s.CPU / s.Numas }
+
+// MemPerNuma returns the per-NUMA memory demand of the shape.
+func (s Shape) MemPerNuma() int { return s.Mem / s.Numas }
+
 // Placed reports whether the VM is currently assigned to a PM.
 func (v *VM) Placed() bool { return v.PM >= 0 }
 
@@ -163,6 +181,52 @@ type PM struct {
 	// evacuation. Mutate through Cluster.SetHealth so future health-aware
 	// aggregates stay consistent.
 	Health Health
+}
+
+// Fits reports whether a VM of shape s fits on the PM by capacity alone: on
+// both NUMAs for a double-NUMA shape, on at least one otherwise.
+func (p *PM) Fits(s Shape) bool {
+	cpu, mem := s.CPUPerNuma(), s.MemPerNuma()
+	if s.Numas == 2 {
+		for j := range p.Numas {
+			if p.Numas[j].FreeCPU() < cpu || p.Numas[j].FreeMem() < mem {
+				return false
+			}
+		}
+		return true
+	}
+	for j := range p.Numas {
+		if p.Numas[j].FreeCPU() >= cpu && p.Numas[j].FreeMem() >= mem {
+			return true
+		}
+	}
+	return false
+}
+
+// BestNuma returns the feasible NUMA for a single-NUMA shape that minimizes
+// the post-placement X-core fragment (ties: lower index), or -1 when the
+// shape fits on no NUMA. For a double-NUMA shape it returns 0 when both
+// NUMAs fit, else -1.
+func (p *PM) BestNuma(s Shape, x int) int {
+	if s.Numas == 2 {
+		if p.Fits(s) {
+			return 0
+		}
+		return -1
+	}
+	cpu, mem := s.CPUPerNuma(), s.MemPerNuma()
+	best, bestFrag := -1, 0
+	for j := range p.Numas {
+		n := &p.Numas[j]
+		if n.FreeCPU() < cpu || n.FreeMem() < mem {
+			continue
+		}
+		frag := (n.FreeCPU() - cpu) % x
+		if best == -1 || frag < bestFrag {
+			best, bestFrag = j, frag
+		}
+	}
+	return best
 }
 
 // FreeCPU returns spare CPU summed over both NUMAs.

@@ -6,7 +6,6 @@ package heuristics
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"vmr2l/internal/sim"
 	"vmr2l/internal/solver"
@@ -34,60 +33,25 @@ func (HA) Meta() solver.Meta {
 
 // Solve executes the heuristic until the episode ends, no improving
 // migration exists, or ctx expires (the migrations taken so far form the
-// anytime plan).
+// anytime plan). Both stages read the planner's tables, which each step
+// patches for the two PMs it touched, so proving that no move is left costs
+// one walk of the candidates that could still improve rather than a
+// VMs × PMs scan.
 func (HA) Solve(ctx context.Context, env *sim.Env) error {
-	obj := env.Objective()
+	pl := newPlanner(env)
 	for !env.Done() {
 		if ctx.Err() != nil {
 			return nil // budget spent: best-so-far plan is already in env
 		}
-		c := env.Cluster()
-		// Filtering stage: VMs by descending removal gain.
-		type cand struct {
-			vm   int
-			gain float64
-		}
-		cands := make([]cand, 0, len(c.VMs))
-		for vm := range c.VMs {
-			if g, ok := sim.RemovalGain(c, obj, vm); ok {
-				cands = append(cands, cand{vm, g})
-			}
-		}
-		slices.SortFunc(cands, func(a, b cand) int {
-			switch {
-			case a.gain > b.gain:
-				return -1
-			case a.gain < b.gain:
-				return 1
-			default:
-				return a.vm - b.vm
-			}
-		})
-		// Scoring stage: first candidate with a strictly improving move.
-		moved := false
-		for _, cd := range cands {
-			bestPM, bestTotal := -1, 0.0
-			for pm := range c.PMs {
-				ig, ok := sim.InsertGain(c, obj, cd.vm, pm)
-				if !ok {
-					continue
-				}
-				if total := cd.gain + ig; bestPM == -1 || total > bestTotal {
-					bestPM, bestTotal = pm, total
-				}
-			}
-			if bestPM < 0 || bestTotal <= 1e-12 {
-				continue
-			}
-			if _, _, err := env.Step(cd.vm, bestPM); err != nil {
-				return fmt.Errorf("heuristics: HA step: %w", err)
-			}
-			moved = true
-			break
-		}
-		if !moved {
+		a, ok := pl.firstImproving()
+		if !ok {
 			return nil // local optimum: no migration lowers the objective
 		}
+		src := env.Cluster().VMs[a.VM].PM
+		if _, _, err := env.Step(a.VM, a.PM); err != nil {
+			return fmt.Errorf("heuristics: HA step: %w", err)
+		}
+		pl.touch(src, a.PM)
 	}
 	return nil
 }

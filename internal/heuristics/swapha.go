@@ -3,7 +3,6 @@ package heuristics
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"vmr2l/internal/sim"
 	"vmr2l/internal/solver"
@@ -38,63 +37,42 @@ func (s SwapHA) topK() int {
 }
 
 // Solve executes moves and swaps until the episode ends, no action improves
-// the objective, or ctx expires.
+// the objective, or ctx expires. The best single move and the swap
+// candidates come from the same patched tables HA uses.
 func (s SwapHA) Solve(ctx context.Context, env *sim.Env) error {
-	obj := env.Objective()
+	pl := newPlanner(env)
+	var cands []int
 	for !env.Done() {
 		if ctx.Err() != nil {
 			return nil // budget spent: best-so-far plan is already in env
 		}
 		c := env.Cluster()
-		// Best single move.
-		var bestMove sim.Action
-		haveMove := false
-		if acts := sim.TopActions(c, obj, 1); len(acts) > 0 && acts[0].Gain > 1e-12 {
-			bestMove, haveMove = acts[0], true
-		}
-		// Best swap among top-K removal-gain candidates.
-		type cand struct {
-			vm   int
-			gain float64
-		}
-		var cands []cand
-		for vm := range c.VMs {
-			if g, ok := sim.RemovalGain(c, obj, vm); ok {
-				cands = append(cands, cand{vm, g})
-			}
-		}
-		slices.SortFunc(cands, func(a, b cand) int {
-			switch {
-			case a.gain > b.gain:
-				return -1
-			case a.gain < b.gain:
-				return 1
-			default:
-				return a.vm - b.vm
-			}
-		})
-		if len(cands) > s.topK() {
-			cands = cands[:s.topK()]
-		}
+		bestMove, haveMove := pl.bestMove()
+		// Best swap among the top-K removal-gain candidates.
+		cands = pl.topCandidates(cands[:0], s.topK())
 		bestA, bestB, bestSwap := -1, -1, 0.0
 		for i := 0; i < len(cands); i++ {
 			for j := i + 1; j < len(cands); j++ {
-				if g, ok := env.SwapGain(cands[i].vm, cands[j].vm); ok && g > bestSwap {
-					bestA, bestB, bestSwap = cands[i].vm, cands[j].vm, g
+				if g, ok := env.SwapGain(cands[i], cands[j]); ok && g > bestSwap {
+					bestA, bestB, bestSwap = cands[i], cands[j], g
 				}
 			}
 		}
 		// A swap spends two steps; prefer it only when it beats the single
 		// move even after accounting for the step a second move could use.
 		switch {
-		case bestA >= 0 && bestSwap > 1e-12 && (!haveMove || bestSwap > 2*bestMove.Gain):
+		case bestA >= 0 && bestSwap > improveEps && (!haveMove || bestSwap > 2*bestMove.Gain):
+			pmA, pmB := c.VMs[bestA].PM, c.VMs[bestB].PM
 			if _, _, err := env.SwapStep(bestA, bestB); err != nil {
 				return fmt.Errorf("heuristics: SwapHA swap: %w", err)
 			}
+			pl.touch(pmA, pmB)
 		case haveMove:
+			src := c.VMs[bestMove.VM].PM
 			if _, _, err := env.Step(bestMove.VM, bestMove.PM); err != nil {
 				return fmt.Errorf("heuristics: SwapHA move: %w", err)
 			}
+			pl.touch(src, bestMove.PM)
 		default:
 			return nil
 		}

@@ -155,8 +155,12 @@ type Evaluation struct {
 
 // Evaluate recomputes log π(a|s), V(s) and the policy entropy for a stored
 // state, building the autodiff graph for the PPO update.
-func (m *Model) Evaluate(st *State) *Evaluation {
-	out := m.forward(st.Feat)
+func (m *Model) Evaluate(st *State) *Evaluation { return m.EvaluateIn(st, nil) }
+
+// EvaluateIn is Evaluate with the graph's storage drawn from pool, which
+// the caller resets once the graph is no longer needed.
+func (m *Model) EvaluateIn(st *State, pool *tensor.GraphPool) *Evaluation {
+	out := m.forward(st.Feat, pool)
 	ev := &Evaluation{Value: m.value(out)}
 	switch m.Cfg.Action {
 	case FullMask:

@@ -42,7 +42,7 @@ func TestInferMatchesGraphForward(t *testing.T) {
 			cfg.Heads = 1
 		}
 		m := New(cfg)
-		slow := m.forward(feat)
+		slow := m.forward(feat, nil)
 		ic, fast := waveOfOne(m, env.Cluster())
 
 		check := func(name string, a, b *tensor.Tensor) {

@@ -252,10 +252,11 @@ func (gb *groupBuf) build(host []int, numPM int) [][]int {
 	return gb.groups
 }
 
-// forward runs the feature extractor on one state.
-func (m *Model) forward(f *sim.Features) *forwardOut {
-	pmE := m.pmEmbed.Forward(tensor.FromRows(f.PM))
-	vmE := m.vmEmbed.Forward(tensor.FromRows(f.VM))
+// forward runs the feature extractor on one state. The graph's storage
+// comes from pool (nil: the heap).
+func (m *Model) forward(f *sim.Features, pool *tensor.GraphPool) *forwardOut {
+	pmE := m.pmEmbed.Forward(pool.FromRows(f.PM))
+	vmE := m.vmEmbed.Forward(pool.FromRows(f.VM))
 	out := &forwardOut{}
 	numPM := len(f.PM)
 	// The groupBuf must be freshly allocated here: GroupedAttention's

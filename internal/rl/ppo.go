@@ -410,15 +410,12 @@ func (t *Trainer) Update(maps []*cluster.Cluster, envCfg sim.Config, updateIdx i
 		idx[i] = i
 	}
 	nMB := 0
-	// Route the minibatch graphs' storage through a recycling pool: each
-	// minibatch builds and discards one autograd graph, so its buffers are
-	// reused instead of churning the allocator. The pool is removed before
-	// returning (Evaluate callers outside Update see normal allocation).
+	// Route the minibatch graphs' storage through the trainer's recycling
+	// pool: each minibatch builds and discards one autograd graph, so its
+	// buffers are reused instead of churning the allocator.
 	if t.pool == nil {
 		t.pool = &tensor.GraphPool{}
 	}
-	prevPool := tensor.SetGraphPool(t.pool)
-	defer tensor.SetGraphPool(prevPool)
 	for epoch := 0; epoch < t.Cfg.Epochs; epoch++ {
 		t.rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for start := 0; start < len(idx); start += t.Cfg.Minibatch {
@@ -434,7 +431,7 @@ func (t *Trainer) Update(maps []*cluster.Cluster, envCfg sim.Config, updateIdx i
 			var pgTerms, vTerms, entTerms []*tensor.Tensor
 			for _, i := range mb {
 				tr := batch[i]
-				ev := t.Model.Evaluate(tr.state)
+				ev := t.Model.EvaluateIn(tr.state, t.pool)
 				// ratio = exp(logp_new - logp_old)
 				ratio := tensor.Exp(tensor.AddScalar(ev.LogProb, -tr.logp))
 				surr1 := tensor.Scale(ratio, tr.adv)

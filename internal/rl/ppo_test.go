@@ -3,6 +3,8 @@ package rl
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"vmr2l/internal/cluster"
@@ -244,5 +246,44 @@ func TestParallelCollectionDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a.PolicyLoss != b.PolicyLoss || a.ValueLoss != b.ValueLoss || a.MeanReturn != b.MeanReturn {
 		t.Fatalf("parallel collection nondeterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestConcurrentTrainersMatchSequential: each trainer owns its graph pool,
+// so two trainers updating at once neither share buffers (run under -race)
+// nor change each other's numbers — the concurrent statistics equal those
+// of the same trainers run one after the other.
+func TestConcurrentTrainersMatchSequential(t *testing.T) {
+	maps := trainMaps(2)
+	envCfg := sim.DefaultConfig(3)
+	run := func(action policy.ActionMode) ([]UpdateStats, error) {
+		return NewTrainer(smallModel(action), smallCfg()).Train(maps, envCfg, 2, nil)
+	}
+	modes := []policy.ActionMode{policy.TwoStage, policy.FullMask}
+	want := make([][]UpdateStats, len(modes))
+	for i, mode := range modes {
+		var err error
+		if want[i], err = run(mode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([][]UpdateStats, len(modes))
+	errs := make([]error, len(modes))
+	var wg sync.WaitGroup
+	for i, mode := range modes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run(mode)
+		}()
+	}
+	wg.Wait()
+	for i := range modes {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("mode %v: concurrent stats %+v, sequential %+v", modes[i], got[i], want[i])
+		}
 	}
 }

@@ -48,6 +48,10 @@ func DefaultConfig(mnl int) Config {
 type Env struct {
 	cfg  Config
 	init *cluster.Cluster
+	// own is the storage New copies the initial mapping into (then init ==
+	// own); a Fork shares its parent's init instead. It survives Release,
+	// so a pooled Env reuses it on its next New.
+	own  *cluster.Cluster
 	c    *cluster.Cluster
 	step int
 	done bool
@@ -60,13 +64,22 @@ var (
 	ErrIllegal = errors.New("sim: illegal action")
 )
 
-// New builds an environment over a snapshot of init (which is cloned and
-// never mutated).
+// New builds an environment over a snapshot of init (which is copied and
+// never mutated). The environment comes from the same pool as Fork copies:
+// callers that are done with it may Release it so the next New reuses its
+// cluster storage.
 func New(init *cluster.Cluster, cfg Config) *Env {
 	if len(cfg.Obj.Terms) == 0 {
 		cfg.Obj = FR16()
 	}
-	e := &Env{cfg: cfg, init: init.Clone()}
+	e := envPool.Get().(*Env)
+	e.cfg = cfg
+	if e.own == nil {
+		e.own = init.Clone()
+	} else {
+		e.own.CopyFrom(init)
+	}
+	e.init = e.own
 	e.Reset()
 	return e
 }
@@ -109,9 +122,8 @@ func (e *Env) Fork() *Env {
 	return cp
 }
 
-// Release returns a forked environment to the pool. The environment must not
-// be used afterwards. Safe to call on any Env, but intended for Fork copies;
-// plans previously returned by Plan() must be copied out first.
+// Release returns an environment to the pool. Neither it nor its Cluster,
+// Initial or Plan may be used afterwards (copy plans out first).
 func (e *Env) Release() {
 	e.init = nil
 	envPool.Put(e)

@@ -31,48 +31,51 @@ func RemovalGain(c *cluster.Cluster, o Objective, vm int) (float64, bool) {
 		return 0, false
 	}
 	v := &c.VMs[vm]
-	p := &c.PMs[v.PM]
-	gain := 0.0
-	for j := 0; j < cluster.NumasPerPM; j++ {
-		if v.Numas == 1 && v.Numa != j {
-			continue
-		}
-		n := &p.Numas[j]
-		for _, t := range o.Terms {
-			before := termFrag(t, n.FreeCPU(), n.FreeMem())
-			after := termFrag(t, n.FreeCPU()+v.CPUPerNuma(), n.FreeMem()+v.MemPerNuma())
-			gain += before - after
-		}
-	}
-	return gain, true
+	return o.numaDelta(&c.PMs[v.PM], v.Shape(), v.Numa, 1), true
 }
 
 // InsertGain returns the drop in PM pm's score if vm were added to it, using
 // the same destination-NUMA rule as Cluster.Migrate. The second result is
-// false when the VM cannot be hosted (capacity, affinity, or same PM).
+// false when the VM cannot be hosted (capacity, affinity, health, or same
+// PM).
 func InsertGain(c *cluster.Cluster, o Objective, vm, pm int) (float64, bool) {
 	if !c.CanHost(vm, pm) {
 		return 0, false
 	}
-	v := &c.VMs[vm]
-	numa := c.BestNuma(vm, pm, cluster.DefaultFragCores)
+	return o.ShapeInsertGain(&c.PMs[pm], c.VMs[vm].Shape())
+}
+
+// ShapeInsertGain returns the drop in p's score if a VM of shape s were added
+// to it on the NUMA Cluster.Migrate would choose. It sees capacity only —
+// health, anti-affinity and the VM's current PM are CanHost's business — so
+// every VM of one shape shares the value; the second result is false when
+// the shape does not fit.
+func (o Objective) ShapeInsertGain(p *cluster.PM, s cluster.Shape) (float64, bool) {
+	numa := p.BestNuma(s, cluster.DefaultFragCores)
 	if numa < 0 {
 		return 0, false
 	}
-	p := &c.PMs[pm]
+	return o.numaDelta(p, s, numa, -1), true
+}
+
+// numaDelta returns the drop in p's score when a VM of shape s is removed
+// from (sign +1) or added to (sign -1) NUMA numa — both NUMAs for a
+// double-NUMA shape.
+func (o Objective) numaDelta(p *cluster.PM, s cluster.Shape, numa, sign int) float64 {
+	cpu, mem := sign*s.CPUPerNuma(), sign*s.MemPerNuma()
 	gain := 0.0
 	for j := 0; j < cluster.NumasPerPM; j++ {
-		if v.Numas == 1 && numa != j {
+		if s.Numas == 1 && numa != j {
 			continue
 		}
 		n := &p.Numas[j]
 		for _, t := range o.Terms {
 			before := termFrag(t, n.FreeCPU(), n.FreeMem())
-			after := termFrag(t, n.FreeCPU()-v.CPUPerNuma(), n.FreeMem()-v.MemPerNuma())
+			after := termFrag(t, n.FreeCPU()+cpu, n.FreeMem()+mem)
 			gain += before - after
 		}
 	}
-	return gain, true
+	return gain
 }
 
 // MoveGain returns the Eq. 9 reward of migrating vm to pm without mutating

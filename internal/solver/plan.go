@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"vmr2l/internal/cluster"
 	"vmr2l/internal/sim"
@@ -211,6 +212,10 @@ func RepairPlan(live *cluster.Cluster, plan []sim.Migration) RepairedPlan {
 	return RepairPlanObjective(live, plan, sim.FR16())
 }
 
+// scratchPool recycles RepairPlanObjective's working copies of the live
+// cluster: a session job repairs against a full-size copy every time.
+var scratchPool = sync.Pool{New: func() any { return new(cluster.Cluster) }}
+
 // RepairPlanObjective validates plan against the live cluster and repairs
 // what it can: valid migrations are kept; stale ones are re-fitted to the
 // destination that best improves obj — the same objective the solver
@@ -234,7 +239,9 @@ func RepairPlanObjective(live *cluster.Cluster, plan []sim.Migration, obj sim.Ob
 	if len(obj.Terms) == 0 {
 		obj = sim.FR16()
 	}
-	scratch := live.Clone()
+	scratch := scratchPool.Get().(*cluster.Cluster)
+	defer scratchPool.Put(scratch)
+	scratch.CopyFrom(live)
 	out := RepairedPlan{InitialFR: scratch.FragRate(cluster.DefaultFragCores)}
 
 	// Forced-evacuation pre-pass over the degraded fleet.

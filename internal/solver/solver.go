@@ -67,9 +67,11 @@ type Result struct {
 }
 
 // Evaluate runs the solver on a fresh environment over init under ctx and
-// reports the outcome. The environment is discarded; the plan is retained.
+// reports the outcome. The plan is copied out and the environment released
+// for reuse.
 func Evaluate(ctx context.Context, s Solver, init *cluster.Cluster, cfg sim.Config) (Result, error) {
 	env := sim.New(init, cfg)
+	defer env.Release()
 	res := Result{
 		Solver:       s.Meta().Name,
 		InitialFR:    env.FragRate(),

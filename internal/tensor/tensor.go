@@ -27,17 +27,17 @@ type Tensor struct {
 	requiresGrad bool
 	parents      []*Tensor
 	backward     func()
+	// pool is where this node's storage came from and where its gradient
+	// and its children's storage come from; nil means the heap.
+	pool *GraphPool
 }
 
-// New allocates a zero rows×cols tensor. While a graph pool is installed
-// (training steps), storage is recycled like any other graph node — callers
-// that need a tensor to outlive the step (parameters, checkpoints) allocate
-// while no pool is active.
+// New allocates a zero rows×cols tensor on the heap.
 func New(rows, cols int) *Tensor {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
 	}
-	return &Tensor{Data: graphAlloc(rows * cols), Rows: rows, Cols: cols}
+	return &Tensor{Data: make([]float64, rows*cols), Rows: rows, Cols: cols}
 }
 
 // FromSlice wraps row-major data (copied) into a rows×cols tensor.
@@ -51,19 +51,7 @@ func FromSlice(rows, cols int, data []float64) *Tensor {
 }
 
 // FromRows builds a tensor from equal-length rows.
-func FromRows(rows [][]float64) *Tensor {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	t := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != t.Cols {
-			panic("tensor: ragged rows")
-		}
-		copy(t.Data[i*t.Cols:], r)
-	}
-	return t
-}
+func FromRows(rows [][]float64) *Tensor { return (*GraphPool)(nil).FromRows(rows) }
 
 // Randn fills a new tensor with Gaussian values scaled by std.
 func Randn(rng *rand.Rand, rows, cols int, std float64) *Tensor {
@@ -108,21 +96,22 @@ func (t *Tensor) Clone() *Tensor {
 }
 
 // child builds a result tensor wired into the graph when any parent
-// requires grad. Storage comes from the active graph pool when one is
-// installed (see GraphPool).
+// requires grad. Its storage comes from the first parent's graph pool, the
+// heap when no parent has one (see GraphPool).
 func child(rows, cols int, parents ...*Tensor) *Tensor {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
 	}
-	out := &Tensor{Data: graphAlloc(rows * cols), Rows: rows, Cols: cols}
+	out := &Tensor{Rows: rows, Cols: cols}
 	for _, p := range parents {
-		if p.requiresGrad {
-			out.requiresGrad = true
-			break
+		out.requiresGrad = out.requiresGrad || p.requiresGrad
+		if out.pool == nil {
+			out.pool = p.pool
 		}
 	}
+	out.Data = out.pool.alloc(rows * cols)
 	if out.requiresGrad {
-		out.Grad = graphAlloc(len(out.Data))
+		out.Grad = out.pool.alloc(len(out.Data))
 		out.parents = parents
 	}
 	return out
@@ -131,7 +120,7 @@ func child(rows, cols int, parents ...*Tensor) *Tensor {
 // ensureGrad lazily allocates the gradient buffer of a graph-internal node.
 func (t *Tensor) ensureGrad() {
 	if t.Grad == nil {
-		t.Grad = graphAlloc(len(t.Data))
+		t.Grad = t.pool.alloc(len(t.Data))
 	}
 }
 
